@@ -4,6 +4,10 @@
 #include <memory>
 
 #include "src/raft/log.h"
+#include "src/raft/wal_codec.h"
+#include "src/sim/simulator.h"
+#include "src/storage/sim_disk.h"
+#include "src/storage/stable_storage.h"
 
 namespace hovercraft {
 namespace {
@@ -72,6 +76,79 @@ void BM_LogTermAt(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_LogTermAt);
+
+// FindRequest at the fig7 log shape: compaction trims the log to 4096
+// retained entries, appends grow it back to ~16k live entries, and rids come
+// from several clients. The table has been through that churn before timing
+// starts. Hits look up live rids; misses look up compacted ones.
+constexpr uint64_t kFig7Live = 16'384;
+constexpr uint64_t kFig7Retained = 4'096;
+constexpr int kFig7Clients = 8;
+
+RequestId Fig7Rid(uint64_t i) {
+  return RequestId{static_cast<HostId>(100 + i % kFig7Clients), i / kFig7Clients + 1};
+}
+
+RaftLog Fig7Log() {
+  RaftLog log;
+  LogEntry e;
+  e.term = 1;
+  uint64_t i = 0;
+  for (int round = 0; round < 4; ++round) {
+    while (log.size() < kFig7Live) {
+      e.rid = Fig7Rid(i++);
+      log.Append(e);
+    }
+    if (round < 3) {
+      log.CompactPrefix(log.last_index() - kFig7Retained);
+    }
+  }
+  return log;
+}
+
+void BM_LogFindRequestFig7Hit(benchmark::State& state) {
+  const RaftLog log = Fig7Log();
+  const uint64_t first = log.first_index() - 1;
+  uint64_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(log.FindRequest(Fig7Rid(first + k++ % kFig7Live)));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_LogFindRequestFig7Hit);
+
+void BM_LogFindRequestFig7Miss(benchmark::State& state) {
+  const RaftLog log = Fig7Log();
+  const uint64_t compacted = log.first_index() - 1;
+  uint64_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(log.FindRequest(Fig7Rid(k++ % compacted)));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_LogFindRequestFig7Miss);
+
+// One WAL entry record for a 24 B request, through the node's single-pass
+// encode path, with compaction dropping old segments as the log advances.
+void BM_StableStorageAppendEntry24B(benchmark::State& state) {
+  Simulator sim;
+  SimDisk disk(&sim, 1, 0);
+  StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
+  const LogEntry e = MakeEntry(1);
+  LogIndex idx = 0;
+  for (auto _ : state) {
+    ++idx;
+    storage.AppendEntry(idx, e.term, e.replier, [&e](BufferWriter* w) { EncodeWalEntry(e, w); });
+    if (idx % kFig7Live == 0) {
+      state.PauseTiming();
+      storage.AppendCompact(idx - kFig7Retained, e.term);
+      state.ResumeTiming();
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  state.SetBytesProcessed(static_cast<int64_t>(disk.stats().bytes_written));
+}
+BENCHMARK(BM_StableStorageAppendEntry24B);
 
 }  // namespace
 }  // namespace hovercraft

@@ -37,6 +37,14 @@ class BufferWriter {
     bytes_.insert(bytes_.end(), p, p + s.size());
   }
 
+  // Overwrites bytes already written at `pos` (length/checksum fields that
+  // are only known once the rest of a record is in place).
+  void PatchU32(size_t pos, uint32_t v) { PatchLittleEndian(pos, v); }
+  void PatchU64(size_t pos, uint64_t v) { PatchLittleEndian(pos, v); }
+
+  // Empties the buffer but keeps its capacity, for writers reused per record.
+  void Clear() { bytes_.clear(); }
+
   size_t size() const { return bytes_.size(); }
   const std::vector<uint8_t>& bytes() const { return bytes_; }
   std::vector<uint8_t> TakeBytes() { return std::move(bytes_); }
@@ -46,6 +54,13 @@ class BufferWriter {
   void PutLittleEndian(T v) {
     for (size_t i = 0; i < sizeof(T); ++i) {
       bytes_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    }
+  }
+
+  template <typename T>
+  void PatchLittleEndian(size_t pos, T v) {
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      bytes_[pos + i] = static_cast<uint8_t>(v >> (8 * i));
     }
   }
 

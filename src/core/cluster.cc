@@ -248,11 +248,16 @@ void Cluster::ExportMetrics(obs::MetricsRegistry* metrics) {
     metrics->SetCounter(prefix + "net.rx_batches", net.rx_batches);
     metrics->SetCounter(prefix + "net.tx_wire_bytes", net.tx_wire_bytes);
     metrics->SetCounter(prefix + "net.rx_wire_bytes", net.rx_wire_bytes);
-    for (const auto& [type, bytes] : net.tx_wire_bytes_by_type) {
-      metrics->SetCounter(prefix + "net.bytes_on_wire.tx." + type, bytes);
-    }
-    for (const auto& [type, bytes] : net.rx_wire_bytes_by_type) {
-      metrics->SetCounter(prefix + "net.bytes_on_wire.rx." + type, bytes);
+    // One counter per type that crossed the wire (every message adds at
+    // least its framing, so a zero means the type never appeared).
+    for (size_t t = 0; t < kMsgTypeCount; ++t) {
+      const char* type = MsgTypeName(static_cast<MsgType>(t));
+      if (net.tx_wire_bytes_by_type[t] != 0) {
+        metrics->SetCounter(prefix + "net.bytes_on_wire.tx." + type, net.tx_wire_bytes_by_type[t]);
+      }
+      if (net.rx_wire_bytes_by_type[t] != 0) {
+        metrics->SetCounter(prefix + "net.bytes_on_wire.rx." + type, net.rx_wire_bytes_by_type[t]);
+      }
     }
     const ServerStats& st = s.server_stats();
     metrics->SetCounter(prefix + "server.client_requests", st.client_requests);

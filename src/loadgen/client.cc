@@ -194,125 +194,132 @@ void ClientHost::ResolveForAck(uint64_t seq) {
 }
 
 void ClientHost::HandleMessage(HostId /*src*/, const MessagePtr& msg) {
-  if (const auto* resp = dynamic_cast<const RpcResponse*>(msg.get())) {
-    const uint64_t seq = resp->rid().seq;
-    auto it = outstanding_.find(seq);
-    if (it != outstanding_.end()) {
-      const Pending pending = std::move(it->second);
-      outstanding_.erase(it);
-      sim()->Cancel(pending.retry_timer);
-      ++total_completed_;
-      if (pending.attempts > 1) {
-        ++completed_after_retry_;
-        if (InWindow(pending.first_sent)) {
-          ++recovered_in_window_;
+  switch (msg->type()) {
+    case MsgType::kResponse: {
+      const auto* resp = static_cast<const RpcResponse*>(msg.get());
+      const uint64_t seq = resp->rid().seq;
+      auto it = outstanding_.find(seq);
+      if (it != outstanding_.end()) {
+        const Pending pending = std::move(it->second);
+        outstanding_.erase(it);
+        sim()->Cancel(pending.retry_timer);
+        ++total_completed_;
+        if (pending.attempts > 1) {
+          ++completed_after_retry_;
+          if (InWindow(pending.first_sent)) {
+            ++recovered_in_window_;
+          }
         }
+        const TimeNs latency = sim()->Now() - pending.first_sent;
+        if (InWindow(pending.first_sent)) {
+          ++completed_in_window_;
+          latencies_.Record(latency);
+        }
+        if (timeseries_ != nullptr) {
+          timeseries_->Record(sim()->Now(), latency);
+        }
+        ResolveForAck(seq);
+        obs::MarkStageAll(sim(), resp->rid(), obs::Stage::kComplete, kInvalidNode, sim()->Now());
+        if (observer_ != nullptr) {
+          observer_->OnComplete(id(), seq, resp->body(), sim()->Now());
+        }
+        return;
       }
-      const TimeNs latency = sim()->Now() - pending.first_sent;
-      if (InWindow(pending.first_sent)) {
-        ++completed_in_window_;
-        latencies_.Record(latency);
+      auto ab = abandoned_.find(seq);
+      if (ab != abandoned_.end()) {
+        // Late completion of an abandoned request: counted exactly once, never
+        // resurrected into the outstanding set.
+        const TimeNs first_sent = ab->second;
+        abandoned_.erase(ab);
+        ++total_completed_;
+        ++late_completions_;
+        const TimeNs latency = sim()->Now() - first_sent;
+        if (InWindow(first_sent)) {
+          ++completed_in_window_;
+          latencies_.Record(latency);
+        }
+        if (timeseries_ != nullptr) {
+          timeseries_->Record(sim()->Now(), latency);
+        }
+        ResolveForAck(seq);
+        obs::MarkStageAll(sim(), resp->rid(), obs::Stage::kComplete, kInvalidNode, sim()->Now());
+        if (observer_ != nullptr) {
+          observer_->OnComplete(id(), seq, resp->body(), sim()->Now());
+        }
+        return;
+      }
+      return;  // duplicate reply (already completed) — suppressed
+    }
+    case MsgType::kNackWrongShard: {
+      const auto* wrong = static_cast<const WrongShardNack*>(msg.get());
+      auto it = outstanding_.find(wrong->rid().seq);
+      if (it == outstanding_.end() || shard_route_ == nullptr) {
+        return;  // already resolved, abandoned, or not a sharded client
+      }
+      Pending& pending = it->second;
+      ++total_redirects_;
+      if (pending.redirects >= kMaxImmediateRedirects) {
+        // Stop chasing back-to-back; the retry timer armed by the last redirect
+        // resend re-resolves the route at backoff pace (the slot is mid-move
+        // and frozen everywhere).
+        return;
+      }
+      ++pending.redirects;
+      ++pending.attempts;
+      sim()->Cancel(pending.retry_timer);
+      const TimeNs now = sim()->Now();
+      if (auto* tracer = obs::TracerOf(sim())) {
+        tracer->Instant(obs::kClusterPid, obs::kTidEvents, "wrong-shard", now,
+                        "c" + std::to_string(id()) + ":" + std::to_string(wrong->rid().seq) +
+                            " slot " + std::to_string(pending.shard_slot) + " epoch " +
+                            std::to_string(wrong->epoch()));
+      }
+      // Refresh the map view (inside ResolveTarget) and resend at the new
+      // owner. Still the same logical invocation: no observer event, and the
+      // bumped attempt count marks the resend a retransmit server-side.
+      const RequestId rid{id(), wrong->rid().seq};
+      auto request = std::make_shared<RpcRequest>(rid, pending.policy, pending.body,
+                                                  pending.attempts, ack_floor_,
+                                                  pending.shard_slot);
+      Send(ResolveTarget(pending), std::move(request));
+      // Always armed, even with the retry policy disabled: a redirected request
+      // has no other resend path, and past the immediate-redirect cap the
+      // handler above relies on this timer — without it the operation would
+      // hang outstanding forever. The policy's backoff fields have usable
+      // defaults regardless of `enabled`.
+      ArmRetryTimer(wrong->rid().seq, pending.attempts);
+      return;
+    }
+    case MsgType::kNack: {
+      const auto* nack = static_cast<const NackMsg*>(msg.get());
+      auto it = outstanding_.find(nack->rid().seq);
+      if (it == outstanding_.end()) {
+        return;
+      }
+      if (it->second.attempts > 1) {
+        // A stale NACK from the first attempt racing a retransmission that
+        // bypassed the middlebox: the retry may still succeed, keep waiting.
+        return;
+      }
+      const TimeNs sent = it->second.first_sent;
+      sim()->Cancel(it->second.retry_timer);
+      outstanding_.erase(it);
+      if (InWindow(sent)) {
+        ++nacked_in_window_;
       }
       if (timeseries_ != nullptr) {
-        timeseries_->Record(sim()->Now(), latency);
+        timeseries_->Count(sim()->Now());
       }
-      ResolveForAck(seq);
-      obs::MarkStageAll(sim(), resp->rid(), obs::Stage::kComplete, kInvalidNode, sim()->Now());
+      // A NACKed request was never admitted, so it can never execute: safe to
+      // acknowledge for session-table GC.
+      ResolveForAck(nack->rid().seq);
       if (observer_ != nullptr) {
-        observer_->OnComplete(id(), seq, resp->body(), sim()->Now());
+        observer_->OnNack(id(), nack->rid().seq, sim()->Now());
       }
       return;
     }
-    auto ab = abandoned_.find(seq);
-    if (ab != abandoned_.end()) {
-      // Late completion of an abandoned request: counted exactly once, never
-      // resurrected into the outstanding set.
-      const TimeNs first_sent = ab->second;
-      abandoned_.erase(ab);
-      ++total_completed_;
-      ++late_completions_;
-      const TimeNs latency = sim()->Now() - first_sent;
-      if (InWindow(first_sent)) {
-        ++completed_in_window_;
-        latencies_.Record(latency);
-      }
-      if (timeseries_ != nullptr) {
-        timeseries_->Record(sim()->Now(), latency);
-      }
-      ResolveForAck(seq);
-      obs::MarkStageAll(sim(), resp->rid(), obs::Stage::kComplete, kInvalidNode, sim()->Now());
-      if (observer_ != nullptr) {
-        observer_->OnComplete(id(), seq, resp->body(), sim()->Now());
-      }
-      return;
-    }
-    return;  // duplicate reply (already completed) — suppressed
-  }
-  if (const auto* wrong = dynamic_cast<const WrongShardNack*>(msg.get())) {
-    auto it = outstanding_.find(wrong->rid().seq);
-    if (it == outstanding_.end() || shard_route_ == nullptr) {
-      return;  // already resolved, abandoned, or not a sharded client
-    }
-    Pending& pending = it->second;
-    ++total_redirects_;
-    if (pending.redirects >= kMaxImmediateRedirects) {
-      // Stop chasing back-to-back; the retry timer armed by the last redirect
-      // resend re-resolves the route at backoff pace (the slot is mid-move
-      // and frozen everywhere).
-      return;
-    }
-    ++pending.redirects;
-    ++pending.attempts;
-    sim()->Cancel(pending.retry_timer);
-    const TimeNs now = sim()->Now();
-    if (auto* tracer = obs::TracerOf(sim())) {
-      tracer->Instant(obs::kClusterPid, obs::kTidEvents, "wrong-shard", now,
-                      "c" + std::to_string(id()) + ":" + std::to_string(wrong->rid().seq) +
-                          " slot " + std::to_string(pending.shard_slot) + " epoch " +
-                          std::to_string(wrong->epoch()));
-    }
-    // Refresh the map view (inside ResolveTarget) and resend at the new
-    // owner. Still the same logical invocation: no observer event, and the
-    // bumped attempt count marks the resend a retransmit server-side.
-    const RequestId rid{id(), wrong->rid().seq};
-    auto request = std::make_shared<RpcRequest>(rid, pending.policy, pending.body,
-                                                pending.attempts, ack_floor_,
-                                                pending.shard_slot);
-    Send(ResolveTarget(pending), std::move(request));
-    // Always armed, even with the retry policy disabled: a redirected request
-    // has no other resend path, and past the immediate-redirect cap the
-    // handler above relies on this timer — without it the operation would
-    // hang outstanding forever. The policy's backoff fields have usable
-    // defaults regardless of `enabled`.
-    ArmRetryTimer(wrong->rid().seq, pending.attempts);
-    return;
-  }
-  if (const auto* nack = dynamic_cast<const NackMsg*>(msg.get())) {
-    auto it = outstanding_.find(nack->rid().seq);
-    if (it == outstanding_.end()) {
-      return;
-    }
-    if (it->second.attempts > 1) {
-      // A stale NACK from the first attempt racing a retransmission that
-      // bypassed the middlebox: the retry may still succeed, keep waiting.
-      return;
-    }
-    const TimeNs sent = it->second.first_sent;
-    sim()->Cancel(it->second.retry_timer);
-    outstanding_.erase(it);
-    if (InWindow(sent)) {
-      ++nacked_in_window_;
-    }
-    if (timeseries_ != nullptr) {
-      timeseries_->Count(sim()->Now());
-    }
-    // A NACKed request was never admitted, so it can never execute: safe to
-    // acknowledge for session-table GC.
-    ResolveForAck(nack->rid().seq);
-    if (observer_ != nullptr) {
-      observer_->OnNack(id(), nack->rid().seq, sim()->Now());
-    }
-    return;
+    default:
+      break;
   }
 }
 

@@ -11,6 +11,12 @@
 
 namespace hovercraft {
 
+namespace {
+
+size_t TypeSlot(const Message& msg) { return static_cast<size_t>(msg.type()); }
+
+}  // namespace
+
 Host::Host(Simulator* sim, const CostModel& costs, Kind kind)
     : sim_(sim), costs_(costs), kind_(kind), net_thread_(sim), nic_tx_(sim) {
   HC_CHECK(sim != nullptr);
@@ -44,7 +50,6 @@ void Host::Send(Addr dst, MessagePtr msg, TimeNs extra_cpu) {
   counters_.tx_msgs++;
   counters_.tx_frames += static_cast<uint64_t>(costs_.FramesFor(bytes));
   counters_.tx_payload_bytes += static_cast<uint64_t>(bytes);
-  counters_.tx_by_type[msg->Name()]++;
 
   if (costs_.tx_batching) {
     if (bytes <= costs_.tx_batch_small_bytes) {
@@ -111,19 +116,19 @@ void Host::TransmitPacket(Packet packet, TimeNs extra_cpu) {
   const int32_t bytes = packet.msg->PayloadBytes();
   counters_.tx_physical_frames += static_cast<uint64_t>(costs_.FramesFor(bytes));
   counters_.tx_wire_bytes += static_cast<uint64_t>(costs_.WireBytesFor(bytes));
-  if (const auto* batch = dynamic_cast<const BatchMsg*>(packet.msg.get())) {
+  if (const BatchMsg* batch = AsBatch(*packet.msg)) {
     counters_.tx_batches++;
     int64_t member_bytes = 0;
     for (const MessagePtr& m : batch->messages()) {
       const int64_t slot = m->PayloadBytes() + BatchMsg::kPerMessageHeaderBytes;
-      counters_.tx_wire_bytes_by_type[m->Name()] += static_cast<uint64_t>(slot);
+      counters_.tx_wire_bytes_by_type[TypeSlot(*m)] += static_cast<uint64_t>(slot);
       member_bytes += slot;
     }
     // Frame-level overhead of the batch itself, so per-type sums telescope.
-    counters_.tx_wire_bytes_by_type["BATCH"] +=
+    counters_.tx_wire_bytes_by_type[TypeSlot(*batch)] +=
         static_cast<uint64_t>(costs_.WireBytesFor(bytes) - member_bytes);
   } else {
-    counters_.tx_wire_bytes_by_type[packet.msg->Name()] +=
+    counters_.tx_wire_bytes_by_type[TypeSlot(*packet.msg)] +=
         static_cast<uint64_t>(costs_.WireBytesFor(bytes));
   }
 
@@ -170,7 +175,7 @@ void Host::Receive(HostId src, MessagePtr msg) {
   const int32_t bytes = msg->PayloadBytes();
   counters_.rx_physical_frames += static_cast<uint64_t>(costs_.FramesFor(bytes));
   counters_.rx_wire_bytes += static_cast<uint64_t>(costs_.WireBytesFor(bytes));
-  const auto* batch = dynamic_cast<const BatchMsg*>(msg.get());
+  const BatchMsg* batch = AsBatch(*msg);
   if (batch != nullptr) {
     counters_.rx_batches++;
     int64_t member_bytes = 0;
@@ -179,19 +184,17 @@ void Host::Receive(HostId src, MessagePtr msg) {
       counters_.rx_msgs++;
       counters_.rx_frames += static_cast<uint64_t>(costs_.FramesFor(b));
       counters_.rx_payload_bytes += static_cast<uint64_t>(b);
-      counters_.rx_by_type[m->Name()]++;
       const int64_t slot = b + BatchMsg::kPerMessageHeaderBytes;
-      counters_.rx_wire_bytes_by_type[m->Name()] += static_cast<uint64_t>(slot);
+      counters_.rx_wire_bytes_by_type[TypeSlot(*m)] += static_cast<uint64_t>(slot);
       member_bytes += slot;
     }
-    counters_.rx_wire_bytes_by_type["BATCH"] +=
+    counters_.rx_wire_bytes_by_type[TypeSlot(*batch)] +=
         static_cast<uint64_t>(costs_.WireBytesFor(bytes) - member_bytes);
   } else {
     counters_.rx_msgs++;
     counters_.rx_frames += static_cast<uint64_t>(costs_.FramesFor(bytes));
     counters_.rx_payload_bytes += static_cast<uint64_t>(bytes);
-    counters_.rx_by_type[msg->Name()]++;
-    counters_.rx_wire_bytes_by_type[msg->Name()] +=
+    counters_.rx_wire_bytes_by_type[TypeSlot(*msg)] +=
         static_cast<uint64_t>(costs_.WireBytesFor(bytes));
   }
 
@@ -199,15 +202,8 @@ void Host::Receive(HostId src, MessagePtr msg) {
     // Fixed pipeline latency, unbounded parallelism (the ASIC runs at line
     // rate regardless of message rate).
     sim_->After(costs_.aggregator_latency_ns, [this, src, msg = std::move(msg)]() {
-      if (failed_) {
-        return;
-      }
-      if (const auto* b = dynamic_cast<const BatchMsg*>(msg.get())) {
-        for (const MessagePtr& m : b->messages()) {
-          HandleMessage(src, m);
-        }
-      } else {
-        HandleMessage(src, msg);
+      if (!failed_) {
+        Dispatch(src, msg);
       }
     });
     return;
@@ -220,17 +216,20 @@ void Host::Receive(HostId src, MessagePtr msg) {
   // One RxCpu charge for the whole frame — the batch's per-frame saving —
   // then the members dispatch in queue order within the same event.
   net_thread_.Submit(costs_.RxCpu(bytes), [this, src, msg = std::move(msg)]() {
-    if (failed_) {
-      return;
-    }
-    if (const auto* b = dynamic_cast<const BatchMsg*>(msg.get())) {
-      for (const MessagePtr& m : b->messages()) {
-        HandleMessage(src, m);
-      }
-    } else {
-      HandleMessage(src, msg);
+    if (!failed_) {
+      Dispatch(src, msg);
     }
   });
+}
+
+void Host::Dispatch(HostId src, const MessagePtr& msg) {
+  if (const BatchMsg* batch = AsBatch(*msg)) {
+    for (const MessagePtr& m : batch->messages()) {
+      HandleMessage(src, m);
+    }
+  } else {
+    HandleMessage(src, msg);
+  }
 }
 
 }  // namespace hovercraft

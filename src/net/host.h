@@ -8,12 +8,13 @@
 #ifndef SRC_NET_HOST_H_
 #define SRC_NET_HOST_H_
 
+#include <array>
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "src/common/types.h"
+#include "src/net/message.h"
 #include "src/net/packet.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/serial_resource.h"
@@ -23,14 +24,14 @@ namespace hovercraft {
 
 class Network;
 
-// Logical counters (tx_msgs/rx_msgs, *_frames, *_by_type) count the typed
-// protocol messages the endpoints exchange; a coalesced BatchMsg contributes
-// its members, never itself. Physical counters (*_physical_frames,
-// *_batches, *_wire_bytes*) count what actually crosses the link: a batch is
-// one frame, wire bytes include per-frame framing and per-member sub-headers,
-// and the batch's own overhead is attributed to the pseudo-type "BATCH" so
-// the per-type wire-byte sums telescope to the totals exactly. With batching
-// off, physical frames == logical frames.
+// Logical counters (tx_msgs/rx_msgs, *_frames, *_payload_bytes) count the
+// typed protocol messages the endpoints exchange; a coalesced BatchMsg
+// contributes its members, never itself. Physical counters
+// (*_physical_frames, *_batches, *_wire_bytes*) count what actually crosses
+// the link: a batch is one frame, wire bytes include per-frame framing and
+// per-member sub-headers, and the batch's own overhead is attributed to
+// MsgType::kBatch so the per-type wire-byte sums telescope to the totals
+// exactly. With batching off, physical frames == logical frames.
 struct NetCounters {
   uint64_t tx_msgs = 0;
   uint64_t rx_msgs = 0;
@@ -44,10 +45,9 @@ struct NetCounters {
   uint64_t rx_batches = 0;
   uint64_t tx_wire_bytes = 0;
   uint64_t rx_wire_bytes = 0;
-  std::unordered_map<std::string, uint64_t> tx_by_type;
-  std::unordered_map<std::string, uint64_t> rx_by_type;
-  std::unordered_map<std::string, uint64_t> tx_wire_bytes_by_type;
-  std::unordered_map<std::string, uint64_t> rx_wire_bytes_by_type;
+  // Indexed by MsgType.
+  std::array<uint64_t, kMsgTypeCount> tx_wire_bytes_by_type{};
+  std::array<uint64_t, kMsgTypeCount> rx_wire_bytes_by_type{};
 
   void Clear() { *this = NetCounters(); }
 };
@@ -116,6 +116,8 @@ class Host {
   // Physical transmission: charges TX CPU + NIC serialization (servers) or
   // leaves immediately (devices), and does the physical-frame accounting.
   void TransmitPacket(Packet packet, TimeNs extra_cpu);
+  // Hands a received frame to HandleMessage, member by member for a batch.
+  void Dispatch(HostId src, const MessagePtr& msg);
 
   Simulator* sim_;
   const CostModel& costs_;

@@ -7,12 +7,79 @@
 #ifndef SRC_NET_MESSAGE_H_
 #define SRC_NET_MESSAGE_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
 
 namespace hovercraft {
+
+// The kind of a Message: one tag per subclass, except that vote requests and
+// replies get separate tags for their pre-vote form. Receivers dispatch on
+// it with a switch and per-type counters are arrays indexed by it.
+enum class MsgType : uint8_t {
+  // R2P2 (src/r2p2/messages.h)
+  kRequest,
+  kResponse,
+  kFeedback,
+  kNack,
+  kNackWrongShard,
+  kFcLeader,
+  kFcReconcileReq,
+  kFcReconcileRep,
+  // Raft and the HovercRaft extensions (src/raft/messages.h)
+  kAeReq,
+  kAeRep,
+  kPrevoteReq,
+  kVoteReq,
+  kPrevoteRep,
+  kVoteRep,
+  kReadIndexGrant,
+  kAggCommit,
+  kAggVoteReq,
+  kAggVoteRep,
+  kSnapshotReq,
+  kSnapshotRep,
+  kRecoveryReq,
+  kRecoveryRep,
+  // Transport: a coalesced frame (BatchMsg below)
+  kBatch,
+};
+
+inline constexpr size_t kMsgTypeCount = static_cast<size_t>(MsgType::kBatch) + 1;
+
+// Stable short name of each type, used for per-type message accounting
+// (Table 1), metric names and trace labels.
+inline const char* MsgTypeName(MsgType type) {
+  static constexpr std::array<const char*, kMsgTypeCount> kNames = {
+      "REQUEST",
+      "RESPONSE",
+      "FEEDBACK",
+      "NACK",
+      "NACK_WRONG_SHARD",
+      "FC_LEADER",
+      "FC_RECONCILE_REQ",
+      "FC_RECONCILE_REP",
+      "AE_REQ",
+      "AE_REP",
+      "PREVOTE_REQ",
+      "VOTE_REQ",
+      "PREVOTE_REP",
+      "VOTE_REP",
+      "READ_INDEX_GRANT",
+      "AGG_COMMIT",
+      "AGG_VOTE_REQ",
+      "AGG_VOTE_REP",
+      "SNAPSHOT_REQ",
+      "SNAPSHOT_REP",
+      "RECOVERY_REQ",
+      "RECOVERY_REP",
+      "BATCH",
+  };
+  return kNames[static_cast<size_t>(type)];
+}
 
 class Message {
  public:
@@ -22,8 +89,8 @@ class Message {
   // framing are accounted separately by the cost model).
   virtual int32_t PayloadBytes() const = 0;
 
-  // Stable short name used for per-type message accounting (Table 1).
-  virtual const char* Name() const = 0;
+  virtual MsgType type() const = 0;
+  const char* Name() const { return MsgTypeName(type()); }
 };
 
 using MessagePtr = std::shared_ptr<const Message>;
@@ -46,7 +113,7 @@ class BatchMsg final : public Message {
   }
 
   int32_t PayloadBytes() const override { return total_; }
-  const char* Name() const override { return "BATCH"; }
+  MsgType type() const override { return MsgType::kBatch; }
 
   const std::vector<MessagePtr>& messages() const { return msgs_; }
 
@@ -54,6 +121,11 @@ class BatchMsg final : public Message {
   std::vector<MessagePtr> msgs_;
   int32_t total_ = 0;
 };
+
+// `msg` as a BatchMsg, or null when it is a single message.
+inline const BatchMsg* AsBatch(const Message& msg) {
+  return msg.type() == MsgType::kBatch ? static_cast<const BatchMsg*>(&msg) : nullptr;
+}
 
 }  // namespace hovercraft
 

@@ -139,7 +139,7 @@ class RpcRequest final : public Message {
         shard_slot_(shard_slot) {}
 
   int32_t PayloadBytes() const override { return BodySize(body_); }
-  const char* Name() const override { return "REQUEST"; }
+  MsgType type() const override { return MsgType::kRequest; }
 
   const RequestId& rid() const { return rid_; }
   R2p2Policy policy() const { return policy_; }
@@ -164,7 +164,7 @@ class RpcResponse final : public Message {
   RpcResponse(RequestId rid, Body body) : rid_(rid), body_(std::move(body)) {}
 
   int32_t PayloadBytes() const override { return BodySize(body_); }
-  const char* Name() const override { return "RESPONSE"; }
+  MsgType type() const override { return MsgType::kResponse; }
 
   const RequestId& rid() const { return rid_; }
   const Body& body() const { return body_; }
@@ -181,7 +181,7 @@ class FeedbackMsg final : public Message {
   explicit FeedbackMsg(RequestId rid) : rid_(rid) {}
 
   int32_t PayloadBytes() const override { return 16; }
-  const char* Name() const override { return "FEEDBACK"; }
+  MsgType type() const override { return MsgType::kFeedback; }
 
   const RequestId& rid() const { return rid_; }
 
@@ -195,7 +195,7 @@ class NackMsg final : public Message {
   explicit NackMsg(RequestId rid) : rid_(rid) {}
 
   int32_t PayloadBytes() const override { return 16; }
-  const char* Name() const override { return "NACK"; }
+  MsgType type() const override { return MsgType::kNack; }
 
   const RequestId& rid() const { return rid_; }
 
@@ -214,7 +214,7 @@ class WrongShardNack final : public Message {
   WrongShardNack(RequestId rid, uint64_t epoch) : rid_(rid), epoch_(epoch) {}
 
   int32_t PayloadBytes() const override { return 24; }
-  const char* Name() const override { return "NACK_WRONG_SHARD"; }
+  MsgType type() const override { return MsgType::kNackWrongShard; }
 
   const RequestId& rid() const { return rid_; }
   uint64_t epoch() const { return epoch_; }
@@ -236,7 +236,7 @@ class FcLeaderChangeMsg final : public Message {
   explicit FcLeaderChangeMsg(HostId leader) : leader_(leader) {}
 
   int32_t PayloadBytes() const override { return 16; }
-  const char* Name() const override { return "FC_LEADER"; }
+  MsgType type() const override { return MsgType::kFcLeader; }
 
   HostId leader() const { return leader_; }
 
@@ -252,7 +252,7 @@ class FcReconcileReq final : public Message {
   int32_t PayloadBytes() const override {
     return 16 + 16 * static_cast<int32_t>(rids_.size());
   }
-  const char* Name() const override { return "FC_RECONCILE_REQ"; }
+  MsgType type() const override { return MsgType::kFcReconcileReq; }
 
   const std::vector<RequestId>& rids() const { return rids_; }
 
@@ -275,7 +275,7 @@ class FcReconcileRep final : public Message {
   int32_t PayloadBytes() const override {
     return 16 + 17 * static_cast<int32_t>(rids_.size());
   }
-  const char* Name() const override { return "FC_RECONCILE_REP"; }
+  MsgType type() const override { return MsgType::kFcReconcileRep; }
 
   const std::vector<RequestId>& rids() const { return rids_; }
   const std::vector<FcSlotState>& states() const { return states_; }

@@ -53,46 +53,50 @@ void R2p2Router::Dispatch(const MessagePtr& msg, int32_t server) {
 }
 
 void R2p2Router::HandleMessage(HostId src, const MessagePtr& msg) {
-  if (const auto* req = dynamic_cast<const RpcRequest*>(msg.get())) {
-    if (shard_gate_ && IsDataSlot(req->shard_slot())) {
-      const uint64_t epoch = shard_gate_(req->shard_slot());
-      if (epoch != 0) {
-        ++stats_.wrong_shard_nacked;
-        Send(src, std::make_shared<WrongShardNack>(req->rid(), epoch));
+  switch (msg->type()) {
+    case MsgType::kRequest: {
+      const auto* req = static_cast<const RpcRequest*>(msg.get());
+      if (shard_gate_ && IsDataSlot(req->shard_slot())) {
+        const uint64_t epoch = shard_gate_(req->shard_slot());
+        if (epoch != 0) {
+          ++stats_.wrong_shard_nacked;
+          Send(src, std::make_shared<WrongShardNack>(req->rid(), epoch));
+          return;
+        }
+      }
+      const int32_t server = PickServer();
+      if (server < 0) {
+        // Every bounded queue is full: hold centrally, in arrival order —
+        // the late-binding that makes JBSQ approach a single queue.
+        ++stats_.held_central;
+        central_.push_back(msg);
+        stats_.central_queue_peak = std::max(stats_.central_queue_peak, central_.size());
         return;
       }
-    }
-    const int32_t server = PickServer();
-    if (server < 0) {
-      // Every bounded queue is full: hold centrally, in arrival order —
-      // the late-binding that makes JBSQ approach a single queue.
-      ++stats_.held_central;
-      central_.push_back(msg);
-      stats_.central_queue_peak = std::max(stats_.central_queue_peak, central_.size());
+      Dispatch(msg, server);
       return;
     }
-    Dispatch(msg, server);
-    return;
-  }
-  if (dynamic_cast<const FeedbackMsg*>(msg.get()) != nullptr) {
-    // A server finished one request; its slot frees and, under JBSQ, the
-    // oldest centrally-held request binds to it.
-    for (size_t s = 0; s < servers_.size(); ++s) {
-      if (servers_[s] == src) {
-        if (outstanding_[s] > 0) {
-          --outstanding_[s];
+    case MsgType::kFeedback: {
+      // A server finished one request; its slot frees and, under JBSQ, the
+      // oldest centrally-held request binds to it.
+      for (size_t s = 0; s < servers_.size(); ++s) {
+        if (servers_[s] == src) {
+          if (outstanding_[s] > 0) {
+            --outstanding_[s];
+          }
+          if (!central_.empty() && outstanding_[s] < queue_bound_) {
+            MessagePtr next = central_.front();
+            central_.pop_front();
+            Dispatch(next, static_cast<int32_t>(s));
+          }
+          return;
         }
-        if (!central_.empty() && outstanding_[s] < queue_bound_) {
-          MessagePtr next = central_.front();
-          central_.pop_front();
-          Dispatch(next, static_cast<int32_t>(s));
-        }
-        return;
       }
+      return;
     }
-    return;
+    default:
+      HC_LOG_WARN("r2p2 router: unexpected message %s", msg->Name());
   }
-  HC_LOG_WARN("r2p2 router: unexpected message %s", msg->Name());
 }
 
 }  // namespace hovercraft

@@ -18,7 +18,7 @@ LogIndex RaftLog::Append(LogEntry entry) {
   const LogIndex idx = last_index();
   const LogEntry& e = entries_.back();
   if (!e.noop) {
-    rid_index_[e.rid] = idx;
+    rid_index_.Set(e.rid, idx);
   }
   return idx;
 }
@@ -28,10 +28,7 @@ void RaftLog::TruncateFrom(LogIndex idx) {
   while (last_index() >= idx) {
     const LogEntry& e = entries_.back();
     if (!e.noop) {
-      auto it = rid_index_.find(e.rid);
-      if (it != rid_index_.end() && it->second == last_index()) {
-        rid_index_.erase(it);
-      }
+      rid_index_.EraseIfAt(e.rid, last_index());
     }
     entries_.pop_back();
   }
@@ -46,10 +43,7 @@ void RaftLog::CompactPrefix(LogIndex idx) {
   while (base_index_ < idx) {
     const LogEntry& e = entries_.front();
     if (!e.noop) {
-      auto it = rid_index_.find(e.rid);
-      if (it != rid_index_.end() && it->second == base_index_ + 1) {
-        rid_index_.erase(it);
-      }
+      rid_index_.EraseIfAt(e.rid, base_index_ + 1);
     }
     entries_.pop_front();
     ++base_index_;
@@ -58,17 +52,11 @@ void RaftLog::CompactPrefix(LogIndex idx) {
 
 void RaftLog::ResetTo(LogIndex idx, Term term) {
   entries_.clear();
-  rid_index_.clear();
+  rid_index_.Clear();
   base_index_ = idx;
   base_term_ = term;
 }
 
-LogIndex RaftLog::FindRequest(const RequestId& rid) const {
-  auto it = rid_index_.find(rid);
-  if (it == rid_index_.end()) {
-    return kNoLogIndex;
-  }
-  return it->second;
-}
+LogIndex RaftLog::FindRequest(const RequestId& rid) const { return rid_index_.Find(rid); }
 
 }  // namespace hovercraft

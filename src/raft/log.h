@@ -9,13 +9,13 @@
 #include <cstdio>
 #include <deque>
 #include <memory>
-#include <unordered_map>
 
 #include "src/common/check.h"
 #include "src/common/types.h"
 #include "src/r2p2/messages.h"
 #include "src/r2p2/request_id.h"
 #include "src/raft/membership.h"
+#include "src/raft/rid_index.h"
 
 namespace hovercraft {
 
@@ -105,7 +105,7 @@ class RaftLog {
   LogIndex base_index_ = 0;  // compaction point (0 = nothing compacted)
   Term base_term_ = 0;
   std::deque<LogEntry> entries_;
-  std::unordered_map<RequestId, LogIndex, RequestIdHash> rid_index_;
+  RidIndex rid_index_;
 };
 
 }  // namespace hovercraft

@@ -101,7 +101,7 @@ class AppendEntriesReq final : public Message {
   }
 
   int32_t PayloadBytes() const override { return payload_bytes_; }
-  const char* Name() const override { return "AE_REQ"; }
+  MsgType type() const override { return MsgType::kAeReq; }
 
   Term term() const { return term_; }
   NodeId leader() const { return leader_; }
@@ -134,7 +134,7 @@ class AppendEntriesRep final : public Message {
         commit_(commit) {}
 
   int32_t PayloadBytes() const override { return kAeReplyBytes; }
-  const char* Name() const override { return "AE_REP"; }
+  MsgType type() const override { return MsgType::kAeRep; }
 
   NodeId from() const { return from_; }
   Term term() const { return term_; }
@@ -173,7 +173,7 @@ class RequestVoteReq final : public Message {
         pre_vote_(pre_vote) {}
 
   int32_t PayloadBytes() const override { return kVoteBytes; }
-  const char* Name() const override { return pre_vote_ ? "PREVOTE_REQ" : "VOTE_REQ"; }
+  MsgType type() const override { return pre_vote_ ? MsgType::kPrevoteReq : MsgType::kVoteReq; }
 
   Term term() const { return term_; }
   NodeId candidate() const { return candidate_; }
@@ -197,7 +197,7 @@ class RequestVoteRep final : public Message {
       : from_(from), term_(term), granted_(granted), pre_vote_(pre_vote) {}
 
   int32_t PayloadBytes() const override { return kVoteBytes; }
-  const char* Name() const override { return pre_vote_ ? "PREVOTE_REP" : "VOTE_REP"; }
+  MsgType type() const override { return pre_vote_ ? MsgType::kPrevoteRep : MsgType::kVoteRep; }
 
   NodeId from() const { return from_; }
   Term term() const { return term_; }
@@ -222,7 +222,7 @@ class ReadIndexGrantMsg final : public Message {
       : from_(from), term_(term), read_index_(read_index), rid_(rid) {}
 
   int32_t PayloadBytes() const override { return kVoteBytes; }
-  const char* Name() const override { return "READ_INDEX_GRANT"; }
+  MsgType type() const override { return MsgType::kReadIndexGrant; }
 
   NodeId from() const { return from_; }
   Term term() const { return term_; }
@@ -247,7 +247,7 @@ class AggCommitMsg final : public Message {
   int32_t PayloadBytes() const override {
     return kAggCommitFixedBytes + kAggCommitPerNodeBytes * static_cast<int32_t>(applied_.size());
   }
-  const char* Name() const override { return "AGG_COMMIT"; }
+  MsgType type() const override { return MsgType::kAggCommit; }
 
   Term term() const { return term_; }
   LogIndex commit() const { return commit_; }
@@ -272,7 +272,7 @@ class AggVoteReq final : public Message {
  public:
   explicit AggVoteReq(Term term, LogIndex epoch = 0) : term_(term), epoch_(epoch) {}
   int32_t PayloadBytes() const override { return kVoteBytes; }
-  const char* Name() const override { return "AGG_VOTE_REQ"; }
+  MsgType type() const override { return MsgType::kAggVoteReq; }
   Term term() const { return term_; }
   // The leader's committed config epoch; a probe whose epoch trails the
   // aggregator's installed config is answered with the aggregator's epoch so
@@ -288,7 +288,7 @@ class AggVoteRep final : public Message {
  public:
   explicit AggVoteRep(Term term, LogIndex epoch = 0) : term_(term), epoch_(epoch) {}
   int32_t PayloadBytes() const override { return kVoteBytes; }
-  const char* Name() const override { return "AGG_VOTE_REP"; }
+  MsgType type() const override { return MsgType::kAggVoteRep; }
   Term term() const { return term_; }
   LogIndex epoch() const { return epoch_; }
 
@@ -318,7 +318,7 @@ class InstallSnapshotReq final : public Message {
   int32_t PayloadBytes() const override {
     return kSnapshotFixedBytes + BodySize(state_) + ConfigWireBytes(config_);
   }
-  const char* Name() const override { return "SNAPSHOT_REQ"; }
+  MsgType type() const override { return MsgType::kSnapshotReq; }
 
   Term term() const { return term_; }
   NodeId leader() const { return leader_; }
@@ -347,7 +347,7 @@ class InstallSnapshotRep final : public Message {
       : from_(from), term_(term), last_included_(last_included) {}
 
   int32_t PayloadBytes() const override { return kSnapshotFixedBytes; }
-  const char* Name() const override { return "SNAPSHOT_REP"; }
+  MsgType type() const override { return MsgType::kSnapshotRep; }
 
   NodeId from() const { return from_; }
   Term term() const { return term_; }
@@ -366,7 +366,7 @@ class RecoveryReq final : public Message {
   RecoveryReq(NodeId from, RequestId rid) : from_(from), rid_(rid) {}
 
   int32_t PayloadBytes() const override { return kRecoveryReqBytes; }
-  const char* Name() const override { return "RECOVERY_REQ"; }
+  MsgType type() const override { return MsgType::kRecoveryReq; }
 
   NodeId from() const { return from_; }
   const RequestId& rid() const { return rid_; }
@@ -384,7 +384,7 @@ class RecoveryRep final : public Message {
   int32_t PayloadBytes() const override {
     return kRecoveryRepFixedBytes + (request_ ? request_->PayloadBytes() : 0);
   }
-  const char* Name() const override { return "RECOVERY_REP"; }
+  MsgType type() const override { return MsgType::kRecoveryRep; }
 
   const RequestId& rid() const { return rid_; }
   bool found() const { return request_ != nullptr; }

@@ -126,7 +126,7 @@ void RaftNode::StorageAppendEntry(LogIndex idx) {
     return;
   }
   const LogEntry& e = log_.At(idx);
-  storage_->AppendEntry(idx, e.term, e.replier, EncodeWalEntry(e));
+  storage_->AppendEntry(idx, e.term, e.replier, [&e](BufferWriter* w) { EncodeWalEntry(e, w); });
 }
 
 void RaftNode::ScheduleDurability(LogIndex tail) {

@@ -52,8 +52,7 @@ MembershipConfigPtr DecodeConfig(BufferReader* r) {
   return MakeMembershipConfig(std::move(voters), std::move(learners));
 }
 
-std::vector<uint8_t> EncodeWalEntry(const LogEntry& entry) {
-  BufferWriter w(64);
+void EncodeWalEntry(const LogEntry& entry, BufferWriter* w) {
   uint8_t flags = 0;
   if (entry.request != nullptr) {
     flags |= kHasRequest;
@@ -67,27 +66,32 @@ std::vector<uint8_t> EncodeWalEntry(const LogEntry& entry) {
   if (entry.read_only) {
     flags |= kIsReadOnly;
   }
-  w.PutU8(flags);
-  w.PutI64(static_cast<int64_t>(entry.rid.client));
-  w.PutU64(entry.rid.seq);
-  w.PutU64(entry.body_hash);
-  w.PutU64(entry.ack_watermark);
+  w->PutU8(flags);
+  w->PutI64(static_cast<int64_t>(entry.rid.client));
+  w->PutU64(entry.rid.seq);
+  w->PutU64(entry.body_hash);
+  w->PutU64(entry.ack_watermark);
   if (entry.request != nullptr) {
     const RpcRequest& req = *entry.request;
-    w.PutU8(static_cast<uint8_t>(req.policy()));
-    w.PutU32(req.attempt());
-    w.PutU64(req.ack_watermark());
-    w.PutU32(req.shard_slot());
+    w->PutU8(static_cast<uint8_t>(req.policy()));
+    w->PutU32(req.attempt());
+    w->PutU64(req.ack_watermark());
+    w->PutU32(req.shard_slot());
     if (req.body() != nullptr) {
-      w.PutU32(static_cast<uint32_t>(req.body()->size()));
-      w.PutBytes(*req.body());
+      w->PutU32(static_cast<uint32_t>(req.body()->size()));
+      w->PutBytes(*req.body());
     } else {
-      w.PutU32(0);
+      w->PutU32(0);
     }
   }
   if (entry.config != nullptr) {
-    EncodeConfig(*entry.config, &w);
+    EncodeConfig(*entry.config, w);
   }
+}
+
+std::vector<uint8_t> EncodeWalEntry(const LogEntry& entry) {
+  BufferWriter w(64);
+  EncodeWalEntry(entry, &w);
   return w.TakeBytes();
 }
 

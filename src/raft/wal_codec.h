@@ -15,7 +15,10 @@
 
 namespace hovercraft {
 
-// Serializes everything of `entry` except term and replier.
+// Appends everything of `entry` except term and replier to `w`. The WAL
+// append path encodes straight into the storage layer's record buffer.
+void EncodeWalEntry(const LogEntry& entry, BufferWriter* w);
+// The same bytes as a fresh buffer, for callers off the append path.
 std::vector<uint8_t> EncodeWalEntry(const LogEntry& entry);
 
 // Inverse of EncodeWalEntry; leaves out->term and out->replier untouched.

@@ -100,37 +100,41 @@ void ShardCoordinator::RetryCtlOrFail() {
 }
 
 void ShardCoordinator::HandleMessage(HostId /*src*/, const MessagePtr& msg) {
-  if (const auto* resp = dynamic_cast<const RpcResponse*>(msg.get())) {
-    if (phase_ == Phase::kIdle || resp->rid().seq != inflight_seq_) {
-      return;  // late reply from a superseded (retried) control rid
-    }
-    // Sequential rids, one outstanding: this reply resolves every seq
-    // allocated so far (abandoned retry rids are never retransmitted, so the
-    // groups may GC their session entries).
-    ack_floor_ = inflight_seq_;
-    sim()->Cancel(retry_timer_);
-    retry_timer_ = kInvalidEvent;
-    OnPhaseReply(resp->body());
-    return;
-  }
-  if (const auto* nack = dynamic_cast<const NackMsg*>(msg.get())) {
-    if (phase_ == Phase::kIdle || nack->rid().seq != inflight_seq_) {
+  switch (msg->type()) {
+    case MsgType::kResponse: {
+      const auto& resp = static_cast<const RpcResponse&>(*msg);
+      if (phase_ == Phase::kIdle || resp.rid().seq != inflight_seq_) {
+        return;  // late reply from a superseded (retried) control rid
+      }
+      // Sequential rids, one outstanding: this reply resolves every seq
+      // allocated so far (abandoned retry rids are never retransmitted, so the
+      // groups may GC their session entries).
+      ack_floor_ = inflight_seq_;
+      sim()->Cancel(retry_timer_);
+      retry_timer_ = kInvalidEvent;
+      OnPhaseReply(resp.body());
       return;
     }
-    // Admission-control NACK under load: back off briefly, then resend under
-    // a fresh rid (a NACKed rid was never admitted and never will execute).
-    ++stats_.ctl_nacked;
-    sim()->Cancel(retry_timer_);
-    retry_timer_ = sim()->After(Micros(200), [this]() {
-      retry_timer_ = kInvalidEvent;
-      RetryCtlOrFail();
-    });
-    return;
-  }
-  // WrongShardNack cannot happen (control ops are never slot-gated); anything
-  // else is unexpected.
-  if (dynamic_cast<const WrongShardNack*>(msg.get()) == nullptr) {
-    HC_LOG_WARN("shard coordinator: unexpected message %s", msg->Name());
+    case MsgType::kNack: {
+      const auto& nack = static_cast<const NackMsg&>(*msg);
+      if (phase_ == Phase::kIdle || nack.rid().seq != inflight_seq_) {
+        return;
+      }
+      // Admission-control NACK under load: back off briefly, then resend
+      // under a fresh rid (a NACKed rid was never admitted and never will
+      // execute).
+      ++stats_.ctl_nacked;
+      sim()->Cancel(retry_timer_);
+      retry_timer_ = sim()->After(Micros(200), [this]() {
+        retry_timer_ = kInvalidEvent;
+        RetryCtlOrFail();
+      });
+      return;
+    }
+    case MsgType::kNackWrongShard:
+      return;  // cannot happen: control ops are never slot-gated
+    default:
+      HC_LOG_WARN("shard coordinator: unexpected message %s", msg->Name());
   }
 }
 

@@ -24,11 +24,13 @@ void SimDisk::RecordFsyncLatency(TimeNs latency) {
   o->metrics().GetHistogram(fsync_metric_).Record(latency);
 }
 
-void SimDisk::Append(const std::string& file, const uint8_t* data, size_t len) {
+size_t SimDisk::Append(const std::string& file, const uint8_t* data, size_t len) {
   File& f = files_[file];
+  const size_t offset = f.data.size();
   f.data.insert(f.data.end(), data, data + len);
   ++stats_.appends;
   stats_.bytes_written += len;
+  return offset;
 }
 
 void SimDisk::Truncate(const std::string& file, size_t size) {

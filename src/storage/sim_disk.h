@@ -52,7 +52,8 @@ class SimDisk {
   SimDisk& operator=(const SimDisk&) = delete;
 
   // --- writes ---------------------------------------------------------------
-  void Append(const std::string& file, const uint8_t* data, size_t len);
+  // Returns the offset in `file` at which the data starts.
+  size_t Append(const std::string& file, const uint8_t* data, size_t len);
   // Truncates `file` to `size` bytes (clamping the durable watermark too).
   void Truncate(const std::string& file, size_t size);
   // Atomic replace-and-sync, the simulated write-to-temp + rename idiom used

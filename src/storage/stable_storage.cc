@@ -22,62 +22,113 @@ uint64_t RecordCrc(uint8_t type, std::span<const uint8_t> payload) {
 
 }  // namespace
 
-std::string StableStorage::SegmentName(uint64_t seq) const {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "wal-%08llu", static_cast<unsigned long long>(seq));
-  return buf;
+void StableStorage::AddSegment(uint64_t seq) {
+  char name[24];
+  std::snprintf(name, sizeof(name), "wal-%08llu", static_cast<unsigned long long>(seq));
+  segments_.push_back(Segment{seq, 0, name});
 }
 
-StableStorage::Segment& StableStorage::WritableSegment() {
+void StableStorage::RotateIfFull() {
   if (segments_.empty()) {
-    segments_.push_back(Segment{1, 0});
-    return segments_.back();
+    AddSegment(1);
+    return;
   }
-  Segment& cur = segments_.back();
-  if (!in_baseline_ && disk_->Size(SegmentName(cur.seq)) >= segment_bytes_) {
-    segments_.push_back(Segment{cur.seq + 1, 0});
+  if (!in_baseline_ && disk_->Size(segments_.back().name) >= segment_bytes_) {
+    AddSegment(segments_.back().seq + 1);
     WriteBaseline();
   }
-  return segments_.back();
 }
 
 void StableStorage::WriteBaseline() {
   // A freshly rotated segment restates the compaction point and the hard
   // state, so recovery can start from any retained segment prefix.
   in_baseline_ = true;
-  {
-    BufferWriter w(16);
-    w.PutU64(base_idx_);
-    w.PutU64(base_term_);
-    AppendRecord(RecordType::kCompact, w.bytes());
-  }
-  {
-    BufferWriter w(16);
-    w.PutU64(static_cast<uint64_t>(term_));
-    w.PutI64(static_cast<int64_t>(voted_for_));
-    AppendRecord(RecordType::kHardState, w.bytes());
-  }
+  WriteCompactRecord();
+  WriteHardStateRecord();
   in_baseline_ = false;
 }
 
-void StableStorage::AppendRecord(RecordType type, const std::vector<uint8_t>& payload) {
-  Segment& seg = WritableSegment();
-  const std::string file = SegmentName(seg.seq);
-  BufferWriter w(kRecordHeaderBytes + payload.size());
-  w.PutU32(static_cast<uint32_t>(payload.size()));
-  w.PutU8(static_cast<uint8_t>(type));
-  w.PutU64(RecordCrc(static_cast<uint8_t>(type), payload));
-  w.PutBytes(payload);
-  disk_->Append(file, w.bytes().data(), w.bytes().size());
+BufferWriter* StableStorage::BeginRecord(RecordType type) {
+  RotateIfFull();  // may write the baseline records through record_ first
+  record_.Clear();
+  record_.PutU32(0);  // length, patched by FinishRecord
+  record_.PutU8(static_cast<uint8_t>(type));
+  record_.PutU64(0);  // CRC, patched by FinishRecord
+  return &record_;
+}
+
+size_t StableStorage::FinishRecord() {
+  const std::span<const uint8_t> bytes(record_.bytes());
+  const std::span<const uint8_t> payload = bytes.subspan(kRecordHeaderBytes);
+  record_.PatchU32(0, static_cast<uint32_t>(payload.size()));
+  record_.PatchU64(5, RecordCrc(bytes[4], payload));
+  return disk_->Append(segments_.back().name, bytes.data(), bytes.size());
+}
+
+BufferWriter* StableStorage::BeginEntry(LogIndex idx, Term term, NodeId replier) {
+  BufferWriter* w = BeginRecord(RecordType::kEntry);
+  w->PutU64(idx);
+  w->PutU64(static_cast<uint64_t>(term));
+  w->PutI64(static_cast<int64_t>(replier));
+  return w;
+}
+
+void StableStorage::FinishEntry(LogIndex idx) {
+  Segment& seg = segments_.back();
+  seg.max_entry_idx = std::max(seg.max_entry_idx, idx);
+  NoteEntryLocation(idx, seg.seq, FinishRecord());
+  ++stats_.entry_records;
+}
+
+void StableStorage::WriteHardStateRecord() {
+  BufferWriter* w = BeginRecord(RecordType::kHardState);
+  w->PutU64(static_cast<uint64_t>(term_));
+  w->PutI64(static_cast<int64_t>(voted_for_));
+  FinishRecord();
+}
+
+void StableStorage::WriteCompactRecord() {
+  BufferWriter* w = BeginRecord(RecordType::kCompact);
+  w->PutU64(base_idx_);
+  w->PutU64(base_term_);
+  FinishRecord();
+}
+
+void StableStorage::NoteEntryLocation(LogIndex idx, uint64_t seg_seq, size_t offset) {
+  if (entry_locations_.empty()) {
+    first_location_ = idx;
+  } else if (idx < first_location_) {
+    entry_locations_.insert(entry_locations_.begin(), first_location_ - idx, EntryLocation{});
+    first_location_ = idx;
+  }
+  const size_t slot = idx - first_location_;
+  if (slot >= entry_locations_.size()) {
+    entry_locations_.resize(slot + 1);  // skipped indices stay gaps
+  }
+  entry_locations_[slot] = EntryLocation{seg_seq, offset};
+}
+
+void StableStorage::ForgetLocationsFrom(LogIndex from) {
+  if (from <= first_location_) {
+    entry_locations_.clear();
+  } else if (from - first_location_ < entry_locations_.size()) {
+    entry_locations_.resize(from - first_location_);
+  }
+}
+
+void StableStorage::ForgetLocationsThrough(LogIndex base) {
+  if (base < first_location_) {
+    return;
+  }
+  const size_t n = std::min<size_t>(base - first_location_ + 1, entry_locations_.size());
+  entry_locations_.erase(entry_locations_.begin(), entry_locations_.begin() + n);
+  first_location_ = base + 1;
 }
 
 void StableStorage::PersistHardState(Term term, NodeId voted_for) {
   term_ = term;
   voted_for_ = voted_for;
-  BufferWriter w(16);
-  w.PutU64(static_cast<uint64_t>(term));
-  w.PutI64(static_cast<int64_t>(voted_for));
-  AppendRecord(RecordType::kHardState, w.bytes());
+  WriteHardStateRecord();
   ++stats_.meta_records;
   // A vote/term promise must never be forgotten across a crash; its sync is
   // deliberately priced at zero (rare, off the data path).
@@ -86,49 +137,36 @@ void StableStorage::PersistHardState(Term term, NodeId voted_for) {
 
 void StableStorage::AppendEntry(LogIndex idx, Term term, NodeId replier,
                                 std::span<const uint8_t> payload) {
-  BufferWriter w(24 + payload.size());
-  w.PutU64(idx);
-  w.PutU64(static_cast<uint64_t>(term));
-  w.PutI64(static_cast<int64_t>(replier));
-  w.PutBytes(payload);
-  Segment& seg = WritableSegment();  // rotate before capturing the offset
-  const std::string file = SegmentName(seg.seq);
-  entry_locations_[idx] = {file, disk_->Size(file)};
-  seg.max_entry_idx = std::max(seg.max_entry_idx, idx);
-  AppendRecord(RecordType::kEntry, w.bytes());
-  ++stats_.entry_records;
+  BeginEntry(idx, term, replier)->PutBytes(payload);
+  FinishEntry(idx);
 }
 
 void StableStorage::AppendAnnounce(LogIndex idx, NodeId replier) {
-  BufferWriter w(16);
-  w.PutU64(idx);
-  w.PutI64(static_cast<int64_t>(replier));
-  AppendRecord(RecordType::kAnnounce, w.bytes());
+  BufferWriter* w = BeginRecord(RecordType::kAnnounce);
+  w->PutU64(idx);
+  w->PutI64(static_cast<int64_t>(replier));
+  FinishRecord();
   ++stats_.meta_records;
 }
 
 void StableStorage::AppendTruncate(LogIndex from) {
-  BufferWriter w(8);
-  w.PutU64(from);
-  AppendRecord(RecordType::kTruncate, w.bytes());
+  BeginRecord(RecordType::kTruncate)->PutU64(from);
+  FinishRecord();
   ++stats_.meta_records;
-  entry_locations_.erase(entry_locations_.lower_bound(from), entry_locations_.end());
+  ForgetLocationsFrom(from);
 }
 
 void StableStorage::AppendCompact(LogIndex base_idx, Term base_term) {
   base_idx_ = base_idx;
   base_term_ = base_term;
-  BufferWriter w(16);
-  w.PutU64(base_idx);
-  w.PutU64(base_term);
-  AppendRecord(RecordType::kCompact, w.bytes());
+  WriteCompactRecord();
   ++stats_.meta_records;
-  entry_locations_.erase(entry_locations_.begin(), entry_locations_.upper_bound(base_idx));
+  ForgetLocationsThrough(base_idx);
   // Drop the longest prefix of segments made obsolete by the new base. Only
   // a prefix is safe: a later segment's truncate/announce records may refer
   // to entries stored in any earlier retained segment.
   while (segments_.size() > 1 && segments_.front().max_entry_idx <= base_idx) {
-    disk_->Delete(SegmentName(segments_.front().seq));
+    disk_->Delete(segments_.front().name);
     segments_.erase(segments_.begin());
     ++stats_.segments_dropped;
   }
@@ -154,12 +192,18 @@ bool StableStorage::Sync(std::function<void()> cb) {
 }
 
 bool StableStorage::CorruptEntry(LogIndex idx) {
-  auto it = entry_locations_.find(idx);
-  if (it == entry_locations_.end()) {
+  if (entry_locations_.empty() || idx < first_location_ ||
+      idx - first_location_ >= entry_locations_.size()) {
     return false;
   }
-  // First payload byte of the record: inside the CRC-covered region.
-  return disk_->FlipByte(it->second.first, it->second.second + kRecordHeaderBytes);
+  const EntryLocation& loc = entry_locations_[idx - first_location_];
+  for (const Segment& seg : segments_) {
+    if (seg.seq == loc.seg_seq) {
+      // First payload byte of the record: inside the CRC-covered region.
+      return disk_->FlipByte(seg.name, loc.offset + kRecordHeaderBytes);
+    }
+  }
+  return false;  // a gap, or the segment is gone
 }
 
 StableStorage::Recovery StableStorage::Recover(bool protocol_aware) {
@@ -226,7 +270,7 @@ StableStorage::Recovery StableStorage::Recover(bool protocol_aware) {
       disk_->Delete(file);
       continue;
     }
-    segments_.push_back(Segment{seq, 0});
+    AddSegment(seq);
     Segment& seg = segments_.back();
     const std::vector<uint8_t>& bytes = disk_->Read(file);
     size_t off = 0;
@@ -341,7 +385,7 @@ StableStorage::Recovery StableStorage::Recover(bool protocol_aware) {
               e.replier = static_cast<NodeId>(replier);
               e.payload.assign(payload.begin() + 24, payload.end());
               rec.entries.push_back(std::move(e));
-              entry_locations_[idx] = {file, off};
+              NoteEntryLocation(idx, seq, off);
               seg.max_entry_idx = std::max(seg.max_entry_idx, idx);
               if (hole && idx <= hole_idx) {
                 hole = false;  // a later overwrite re-covered the damage
@@ -369,7 +413,7 @@ StableStorage::Recovery StableStorage::Recover(bool protocol_aware) {
             while (!rec.entries.empty() && rec.entries.back().idx >= static_cast<LogIndex>(from)) {
               rec.entries.pop_back();
             }
-            entry_locations_.erase(entry_locations_.lower_bound(from), entry_locations_.end());
+            ForgetLocationsFrom(from);
           }
           break;
         }
@@ -382,8 +426,7 @@ StableStorage::Recovery StableStorage::Recover(bool protocol_aware) {
             while (!rec.entries.empty() && rec.entries.front().idx <= rec.base_index) {
               rec.entries.erase(rec.entries.begin());
             }
-            entry_locations_.erase(entry_locations_.begin(),
-                                   entry_locations_.upper_bound(bidx));
+            ForgetLocationsThrough(bidx);
             if (hole && hole_idx <= rec.base_index) {
               hole = false;  // the damage fell below a durable snapshot
             }
@@ -422,7 +465,7 @@ StableStorage::Recovery StableStorage::Recover(bool protocol_aware) {
     ++expected;
   }
   const LogIndex kept_tail = rec.entries.empty() ? rec.base_index : rec.entries.back().idx;
-  entry_locations_.erase(entry_locations_.upper_bound(kept_tail), entry_locations_.end());
+  ForgetLocationsFrom(kept_tail + 1);
   rec.suspect_floor = std::max(durable_tail, rec.base_index);
   if (rec.suspect) {
     ++stats_.suspect_recoveries;
@@ -436,7 +479,7 @@ StableStorage::Recovery StableStorage::Recover(bool protocol_aware) {
   stats_.recovered_entries += rec.entries.size();
 
   if (segments_.empty()) {
-    segments_.push_back(Segment{1, 0});
+    AddSegment(1);
   }
   term_ = rec.term;
   voted_for_ = rec.voted_for;

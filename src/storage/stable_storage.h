@@ -32,13 +32,15 @@
 #ifndef SRC_STORAGE_STABLE_STORAGE_H_
 #define SRC_STORAGE_STABLE_STORAGE_H_
 
+#include <concepts>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "src/common/buffer.h"
 #include "src/common/types.h"
 #include "src/storage/fsync_policy.h"
 #include "src/storage/sim_disk.h"
@@ -104,6 +106,16 @@ class StableStorage {
   void PersistHardState(Term term, NodeId voted_for);
   void AppendEntry(LogIndex idx, Term term, NodeId replier,
                    std::span<const uint8_t> payload);
+  // Single-pass form: `encode` appends the opaque payload straight into the
+  // record buffer behind the header and envelope, so no intermediate copy of
+  // the payload is built.
+  template <typename EncodePayload>
+    requires std::invocable<EncodePayload&, BufferWriter*>
+  void AppendEntry(LogIndex idx, Term term, NodeId replier, EncodePayload&& encode) {
+    BufferWriter* w = BeginEntry(idx, term, replier);
+    encode(w);
+    FinishEntry(idx);
+  }
   void AppendAnnounce(LogIndex idx, NodeId replier);
   void AppendTruncate(LogIndex from);
   // Logical prefix compaction; drops whole WAL segments that fell below the
@@ -138,14 +150,34 @@ class StableStorage {
   struct Segment {
     uint64_t seq = 0;
     LogIndex max_entry_idx = 0;
+    std::string name;  // file name, formatted once when the segment is made
+  };
+  // Where the newest entry record of one index starts; seg_seq 0 marks an
+  // index without one (a gap).
+  struct EntryLocation {
+    uint64_t seg_seq = 0;
+    size_t offset = 0;
   };
 
-  std::string SegmentName(uint64_t seq) const;
-  // Returns the current segment, rotating (with a fresh baseline) first when
-  // it outgrew segment_bytes_.
-  Segment& WritableSegment();
-  void AppendRecord(RecordType type, const std::vector<uint8_t>& payload);
+  void AddSegment(uint64_t seq);
+  // Rotates to a new segment (with a fresh baseline) when the current one
+  // outgrew segment_bytes_.
+  void RotateIfFull();
+  // Record building: BeginRecord rotates if needed, then starts the record
+  // in record_ with placeholder length and CRC fields; the caller appends
+  // the payload; FinishRecord patches both fields in place, writes the
+  // record to the current segment and returns its offset there.
+  BufferWriter* BeginRecord(RecordType type);
+  size_t FinishRecord();
+  BufferWriter* BeginEntry(LogIndex idx, Term term, NodeId replier);
+  void FinishEntry(LogIndex idx);
+  void WriteHardStateRecord();
+  void WriteCompactRecord();
   void WriteBaseline();
+
+  void NoteEntryLocation(LogIndex idx, uint64_t seg_seq, size_t offset);
+  void ForgetLocationsFrom(LogIndex from);
+  void ForgetLocationsThrough(LogIndex base);
 
   SimDisk* disk_;
   FsyncPolicy policy_;
@@ -159,10 +191,12 @@ class StableStorage {
   LogIndex base_idx_ = 0;
   Term base_term_ = 0;
   bool in_baseline_ = false;
+  BufferWriter record_;  // reused for every record
 
-  // idx -> (file, record offset) of the newest entry record; corruption
-  // targeting only. Pruned by compaction.
-  std::map<LogIndex, std::pair<std::string, size_t>> entry_locations_;
+  // entry_locations_[i] locates index first_location_ + i; corruption
+  // targeting only. Pruned by truncation and compaction.
+  std::deque<EntryLocation> entry_locations_;
+  LogIndex first_location_ = 0;
 
   StorageStats stats_;
 };

@@ -171,7 +171,14 @@ TEST(NetworkTest, CountersTrackTraffic) {
   EXPECT_EQ(b.counters().rx_msgs, 1u);
   EXPECT_EQ(b.counters().tx_msgs, 1u);
   EXPECT_EQ(a.counters().tx_payload_bytes, 512u);
-  EXPECT_EQ(a.counters().tx_by_type.at("REQUEST"), 1u);
+  // One REQUEST's wire bytes, and nothing under any other type.
+  const auto& by_type = a.counters().tx_wire_bytes_by_type;
+  for (size_t t = 0; t < kMsgTypeCount; ++t) {
+    EXPECT_EQ(by_type[t], static_cast<MsgType>(t) == MsgType::kRequest
+                              ? static_cast<uint64_t>(f.costs.WireBytesFor(512))
+                              : 0u)
+        << MsgTypeName(static_cast<MsgType>(t));
+  }
 }
 
 TEST(NetworkTest, DeviceHostForwardsWithFixedLatency) {

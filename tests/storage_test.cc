@@ -4,10 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "src/common/buffer.h"
 #include "src/common/types.h"
+#include "src/raft/log.h"
+#include "src/raft/membership.h"
+#include "src/raft/wal_codec.h"
 #include "src/sim/simulator.h"
 #include "src/storage/fsync_policy.h"
 #include "src/storage/sim_disk.h"
@@ -335,6 +342,223 @@ TEST(StableStorageTest, SyncPerAppendDoesNotCoalesce) {
   }
   sim.RunToCompletion();
   EXPECT_EQ(disk2.stats().syncs, 2u);  // running barrier + one coalesced group
+}
+
+
+// ---------------------------------------------------------------------------
+// Golden WAL bytes: the on-disk format is pinned byte for byte.
+// ---------------------------------------------------------------------------
+
+LogEntry GoldenRequestEntry(Term term, NodeId replier, uint64_t seq, uint8_t fill) {
+  LogEntry e;
+  e.term = term;
+  e.replier = replier;
+  e.rid = RequestId{7, seq};
+  e.ack_watermark = seq - 1;
+  e.request = std::make_shared<RpcRequest>(e.rid, R2p2Policy::kReplicatedReq,
+                                           MakeBody(std::vector<uint8_t>(24, fill)),
+                                           /*attempt=*/2, /*ack_watermark=*/seq - 1,
+                                           /*shard_slot=*/5);
+  e.body_hash = HashRequestBody(*e.request);
+  return e;
+}
+
+LogEntry GoldenConfigNoop(Term term) {
+  LogEntry e;
+  e.term = term;
+  e.noop = true;
+  e.config = MakeMembershipConfig({0, 1, 2}, {3});
+  return e;
+}
+
+// Hard state, a request entry, a config no-op, announce, truncate,
+// re-append and compact, in 128-byte segments so the WAL rotates. Entries go
+// through the single-pass encoder (the node's path) or, with `via_vector`,
+// through the vector-returning codec and the span overload.
+void WriteGoldenSequence(StableStorage* storage, bool via_vector) {
+  auto append = [storage, via_vector](LogIndex idx, const LogEntry& e) {
+    if (via_vector) {
+      storage->AppendEntry(idx, e.term, e.replier, EncodeWalEntry(e));
+    } else {
+      storage->AppendEntry(idx, e.term, e.replier,
+                           [&e](BufferWriter* w) { EncodeWalEntry(e, w); });
+    }
+  };
+  storage->PersistHardState(2, 1);
+  append(1, GoldenRequestEntry(2, 1, 1, 0xA1));
+  append(2, GoldenConfigNoop(2));
+  append(3, GoldenRequestEntry(2, kInvalidNode, 2, 0xA3));
+  storage->AppendAnnounce(3, 2);
+  append(4, GoldenRequestEntry(2, 2, 3, 0xA4));
+  storage->AppendTruncate(3);
+  storage->PersistHardState(3, 0);
+  append(3, GoldenRequestEntry(3, 0, 4, 0xB3));
+  append(4, GoldenRequestEntry(3, 0, 5, 0xB4));
+  storage->AppendCompact(1, 2);
+  storage->Sync(nullptr);
+}
+
+std::map<std::string, std::string> WalHex(const SimDisk& disk) {
+  std::map<std::string, std::string> out;
+  for (const std::string& file : disk.List("wal-")) {
+    std::string hex;
+    for (uint8_t b : disk.Read(file)) {
+      char buf[3];
+      std::snprintf(buf, sizeof(buf), "%02x", b);
+      hex += buf;
+    }
+    out[file] = hex;
+  }
+  return out;
+}
+
+// Every segment file the golden sequence leaves behind (segment 1 was
+// dropped by the compaction), as written by the original two-pass encoder.
+const std::map<std::string, std::string> kGoldenWal = {
+    {"wal-00000002",
+     "10000000056087beb125f9c5c3000000000000000000000000000000001000000001cfdb3896a0fb"
+     "19bc0200000000000000010000000000000061000000025be6b3e0d80aae57020000000000000002"
+     "00000000000000ffffffffffffffff06ffffffffffffffff00000000000000000000000000000000"
+     "00000000000000000300000000000000000000000100000000000000020000000000000001000000"
+     "0300000000000000"},
+    {"wal-00000003",
+     "10000000056087beb125f9c5c3000000000000000000000000000000001000000001cfdb3896a0fb"
+     "19bc020000000000000001000000000000006600000002c30a0ccc7d2220b3030000000000000002"
+     "00000000000000ffffffffffffffff01070000000000000002000000000000009d0ba0ecc004812c"
+     "0100000000000000010200000001000000000000000500000018000000a3a3a3a3a3a3a3a3a3a3a3"
+     "a3a3a3a3a3a3a3a3a3a3a3a3a3"},
+    {"wal-00000004",
+     "10000000056087beb125f9c5c3000000000000000000000000000000001000000001cfdb3896a0fb"
+     "19bc020000000000000001000000000000001000000003134a99414209c98b030000000000000002"
+     "0000000000000066000000028a1f6da02dd13f540400000000000000020000000000000002000000"
+     "0000000001070000000000000003000000000000006509a4197f4aae8c0200000000000000010200"
+     "000002000000000000000500000018000000a4a4a4a4a4a4a4a4a4a4a4a4a4a4a4a4a4a4a4a4a4a4"
+     "a4a4"},
+    {"wal-00000005",
+     "10000000056087beb125f9c5c3000000000000000000000000000000001000000001cfdb3896a0fb"
+     "19bc020000000000000001000000000000000800000004107356b1a8d76a3b030000000000000010"
+     "00000001efa95e9e5f4a1dec030000000000000000000000000000006600000002555ce1f32a34ed"
+     "56030000000000000003000000000000000000000000000000010700000000000000040000000000"
+     "0000fd385fde85a5ef3d0300000000000000010200000003000000000000000500000018000000b3"
+     "b3b3b3b3b3b3b3b3b3b3b3b3b3b3b3b3b3b3b3b3b3b3b3"},
+    {"wal-00000006",
+     "10000000056087beb125f9c5c3000000000000000000000000000000001000000001efa95e9e5f4a"
+     "1dec030000000000000000000000000000006600000002cdf0c80d88e09292040000000000000003"
+     "00000000000000000000000000000001070000000000000005000000000000006550bb1f696da3ae"
+     "0400000000000000010200000004000000000000000500000018000000b4b4b4b4b4b4b4b4b4b4b4"
+     "b4b4b4b4b4b4b4b4b4b4b4b4b4"},
+    {"wal-00000007",
+     "1000000005e333b2daff9cb950010000000000000002000000000000001000000001efa95e9e5f4a"
+     "1dec030000000000000000000000000000001000000005e333b2daff9cb950010000000000000002"
+     "00000000000000"},
+};
+
+constexpr size_t kWalRecordHeader = 13;  // u32 len, u8 type, u64 crc
+
+struct WalRecord {
+  std::string file;
+  size_t offset = 0;
+  size_t len = 0;  // payload bytes
+  uint8_t type = 0;
+  LogIndex idx = 0;  // entry records only
+};
+
+std::vector<WalRecord> ParseWal(const SimDisk& disk) {
+  std::vector<WalRecord> out;
+  for (const std::string& file : disk.List("wal-")) {
+    const std::vector<uint8_t>& bytes = disk.Read(file);
+    size_t off = 0;
+    while (off + kWalRecordHeader <= bytes.size()) {
+      BufferReader r(std::span<const uint8_t>(bytes).subspan(off));
+      uint32_t len = 0;
+      uint8_t type = 0;
+      uint64_t crc = 0;
+      uint64_t idx = 0;
+      EXPECT_TRUE(r.GetU32(len).ok() && r.GetU8(type).ok() && r.GetU64(crc).ok());
+      if (type == static_cast<uint8_t>(StableStorage::RecordType::kEntry)) {
+        EXPECT_TRUE(r.GetU64(idx).ok());
+      }
+      out.push_back(WalRecord{file, off, len, type, idx});
+      off += kWalRecordHeader + len;
+    }
+    EXPECT_EQ(off, bytes.size()) << file;
+  }
+  return out;
+}
+
+// Corrupts `idx` and checks the flipped byte lies in the payload of the
+// newest entry record for `idx`.
+void ExpectCorruptsNewestRecord(StableStorage* storage, SimDisk* disk, LogIndex idx) {
+  const std::vector<WalRecord> records = ParseWal(*disk);
+  const WalRecord* newest = nullptr;
+  for (const WalRecord& rec : records) {
+    if (rec.type == static_cast<uint8_t>(StableStorage::RecordType::kEntry) && rec.idx == idx) {
+      newest = &rec;
+    }
+  }
+  ASSERT_NE(newest, nullptr);
+  const std::vector<uint8_t> before = disk->Read(newest->file);
+  ASSERT_TRUE(storage->CorruptEntry(idx));
+  const std::vector<uint8_t>& after = disk->Read(newest->file);
+  ASSERT_EQ(after.size(), before.size());
+  size_t flipped = 0;
+  size_t at = 0;
+  for (size_t i = 0; i < after.size(); ++i) {
+    if (after[i] != before[i]) {
+      ++flipped;
+      at = i;
+    }
+  }
+  EXPECT_EQ(flipped, 1u);
+  EXPECT_GE(at, newest->offset + kWalRecordHeader);
+  EXPECT_LT(at, newest->offset + kWalRecordHeader + newest->len);
+}
+
+TEST(StableStorageTest, GoldenWalBytes) {
+  for (bool via_vector : {false, true}) {
+    SCOPED_TRACE(via_vector ? "vector codec" : "single pass");
+    Simulator sim;
+    SimDisk disk(&sim, 1, 0);
+    StableStorage storage(&disk, FsyncPolicy::kGroupCommit, /*segment_bytes=*/128);
+    WriteGoldenSequence(&storage, via_vector);
+    EXPECT_EQ(WalHex(disk), kGoldenWal);
+    EXPECT_EQ(storage.stats().segments_dropped, 1u);
+  }
+}
+
+TEST(StableStorageTest, CorruptEntryTargetsNewestRecordAcrossRotationAndRecovery) {
+  {
+    // Straight after the sequence: index 1 is compacted away, index 3 was
+    // truncated and re-appended in a later segment.
+    Simulator sim;
+    SimDisk disk(&sim, 1, 0);
+    StableStorage storage(&disk, FsyncPolicy::kGroupCommit, /*segment_bytes=*/128);
+    WriteGoldenSequence(&storage, /*via_vector=*/false);
+    EXPECT_FALSE(storage.CorruptEntry(1));
+    EXPECT_FALSE(storage.CorruptEntry(5));
+    ExpectCorruptsNewestRecord(&storage, &disk, 3);
+  }
+  {
+    // After a clean recovery the rebuilt index points at the same records.
+    Simulator sim;
+    SimDisk disk(&sim, 1, 0);
+    StableStorage storage(&disk, FsyncPolicy::kGroupCommit, /*segment_bytes=*/128);
+    WriteGoldenSequence(&storage, /*via_vector=*/false);
+    StableStorage::Recovery rec = storage.Recover(/*protocol_aware=*/true);
+    EXPECT_FALSE(rec.suspect);
+    EXPECT_EQ(rec.base_index, 1u);
+    ASSERT_EQ(rec.entries.size(), 3u);
+    EXPECT_EQ(rec.entries[1].idx, 3u);
+    EXPECT_EQ(rec.entries[1].term, 3u);
+    EXPECT_EQ(WalHex(disk), kGoldenWal);
+    EXPECT_FALSE(storage.CorruptEntry(1));
+    ExpectCorruptsNewestRecord(&storage, &disk, 2);
+    ExpectCorruptsNewestRecord(&storage, &disk, 4);
+    // The damage is found again by the next recovery.
+    StableStorage::Recovery again = storage.Recover(true);
+    EXPECT_TRUE(again.suspect);
+    EXPECT_EQ(storage.stats().corrupt_records, 2u);
+  }
 }
 
 }  // namespace

@@ -5,14 +5,22 @@
 // batched runs are trace-deterministic (flush order pinned).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <regex>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/app/synthetic.h"
 #include "src/chaos/runner.h"
+#include "src/core/cluster.h"
+#include "src/loadgen/client.h"
+#include "src/loadgen/workload.h"
 #include "src/net/host.h"
 #include "src/net/network.h"
 #include "src/net/packet.h"
+#include "src/obs/metrics.h"
 #include "src/r2p2/messages.h"
 
 namespace hovercraft {
@@ -101,13 +109,13 @@ TEST(TransportBatchingTest, WireByteAttributionTelescopes) {
   // Per-type wire bytes (members + the BATCH framing share) sum exactly to
   // the total wire bytes, on both ends.
   uint64_t tx_sum = 0;
-  for (const auto& [type, bytes] : a.counters().tx_wire_bytes_by_type) {
+  for (uint64_t bytes : a.counters().tx_wire_bytes_by_type) {
     tx_sum += bytes;
   }
   EXPECT_EQ(tx_sum, a.counters().tx_wire_bytes);
-  EXPECT_GT(a.counters().tx_wire_bytes_by_type.at("BATCH"), 0u);
+  EXPECT_GT(a.counters().tx_wire_bytes_by_type[static_cast<size_t>(MsgType::kBatch)], 0u);
   uint64_t rx_sum = 0;
-  for (const auto& [type, bytes] : b.counters().rx_wire_bytes_by_type) {
+  for (uint64_t bytes : b.counters().rx_wire_bytes_by_type) {
     rx_sum += bytes;
   }
   EXPECT_EQ(rx_sum, b.counters().rx_wire_bytes);
@@ -369,6 +377,120 @@ TEST(TransportBatchingTest, BatchedRunsReplayIdentically) {
   EXPECT_EQ(first.retransmits, second.retransmits);
   EXPECT_EQ(first.dropped_by_fault, second.dropped_by_fault);
   EXPECT_EQ(first.recorder_events, second.recorder_events);
+}
+
+// The net.* counters Cluster::ExportMetrics emitted, by name.
+std::map<std::string, uint64_t> ExportedNetCounters(Cluster& cluster) {
+  obs::MetricsRegistry metrics;
+  cluster.ExportMetrics(&metrics);
+  std::ostringstream json;
+  metrics.DumpJson(json);
+  const std::string text = json.str();
+  std::map<std::string, uint64_t> out;
+  const std::regex counter("\"(node[0-9]+/net\\.[a-z_.A-Z]+)\": ([0-9]+)");
+  for (auto it = std::sregex_iterator(text.begin(), text.end(), counter);
+       it != std::sregex_iterator(); ++it) {
+    out[(*it)[1]] = std::stoull((*it)[2]);
+  }
+  return out;
+}
+
+// Batched HovercRaft N=3 under load, with the leader killed mid-run so a
+// pre-vote round and an election cross the wire.
+TEST(TransportBatchingTest, ExportedWireBytesByTypeArePinned) {
+  ClusterConfig config;
+  config.mode = ClusterMode::kHovercRaft;
+  config.nodes = 3;
+  config.seed = 5;
+  config.app_factory = []() { return std::make_unique<SyntheticService>(); };
+  config.costs.tx_batching = true;
+  config.costs.tx_batch_delay_ns = 2'000;
+  Cluster cluster(config);
+  ASSERT_NE(cluster.WaitForLeader(), kInvalidNode);
+  SyntheticWorkloadConfig wc;
+  wc.service_time = std::make_shared<FixedDistribution>(Micros(1));
+  ClientHost client(&cluster.sim(), cluster.config().costs,
+                    [&cluster]() { return cluster.ClientTarget(); },
+                    std::make_unique<SyntheticWorkload>(wc), 20'000, 3);
+  cluster.network().Attach(&client);
+  const TimeNs t0 = cluster.sim().Now();
+  client.StartLoad(t0, t0 + Millis(30));
+  cluster.sim().RunUntil(t0 + Millis(10));
+  cluster.KillLeader();
+  cluster.sim().RunUntil(t0 + Millis(40));
+
+  const std::map<std::string, uint64_t> net = ExportedNetCounters(cluster);
+  std::map<std::string, uint64_t> by_type;
+  for (const auto& [name, value] : net) {
+    if (name.find("/net.bytes_on_wire.") != std::string::npos) {
+      by_type[name] = value;
+    }
+  }
+  // Names and values exported before the per-type counters became arrays
+  // indexed by MsgType.
+  const std::map<std::string, uint64_t> golden = {
+      {"node0/net.bytes_on_wire.rx.AE_REP", 85864},
+      {"node0/net.bytes_on_wire.rx.BATCH", 2624},
+      {"node0/net.bytes_on_wire.rx.PREVOTE_REP", 192},
+      {"node0/net.bytes_on_wire.rx.REQUEST", 18464},
+      {"node0/net.bytes_on_wire.rx.VOTE_REP", 192},
+      {"node0/net.bytes_on_wire.tx.AE_REQ", 99880},
+      {"node0/net.bytes_on_wire.tx.BATCH", 2752},
+      {"node0/net.bytes_on_wire.tx.FC_LEADER", 80},
+      {"node0/net.bytes_on_wire.tx.FEEDBACK", 16960},
+      {"node0/net.bytes_on_wire.tx.PREVOTE_REQ", 192},
+      {"node0/net.bytes_on_wire.tx.RESPONSE", 15216},
+      {"node0/net.bytes_on_wire.tx.VOTE_REQ", 192},
+      {"node1/net.bytes_on_wire.rx.AE_REQ", 112656},
+      {"node1/net.bytes_on_wire.rx.BATCH", 4288},
+      {"node1/net.bytes_on_wire.rx.PREVOTE_REQ", 192},
+      {"node1/net.bytes_on_wire.rx.REQUEST", 52140},
+      {"node1/net.bytes_on_wire.rx.VOTE_REQ", 192},
+      {"node1/net.bytes_on_wire.tx.AE_REP", 92664},
+      {"node1/net.bytes_on_wire.tx.BATCH", 3328},
+      {"node1/net.bytes_on_wire.tx.PREVOTE_REP", 192},
+      {"node1/net.bytes_on_wire.tx.VOTE_REP", 192},
+      {"node2/net.bytes_on_wire.rx.AE_REP", 49840},
+      {"node2/net.bytes_on_wire.rx.AE_REQ", 50048},
+      {"node2/net.bytes_on_wire.rx.BATCH", 3904},
+      {"node2/net.bytes_on_wire.rx.FC_RECONCILE_REQ", 2464},
+      {"node2/net.bytes_on_wire.rx.PREVOTE_REP", 96},
+      {"node2/net.bytes_on_wire.rx.PREVOTE_REQ", 96},
+      {"node2/net.bytes_on_wire.rx.REQUEST", 52140},
+      {"node2/net.bytes_on_wire.rx.VOTE_REP", 96},
+      {"node2/net.bytes_on_wire.rx.VOTE_REQ", 96},
+      {"node2/net.bytes_on_wire.tx.AE_REP", 43040},
+      {"node2/net.bytes_on_wire.tx.AE_REQ", 109544},
+      {"node2/net.bytes_on_wire.tx.BATCH", 9792},
+      {"node2/net.bytes_on_wire.tx.FC_LEADER", 80},
+      {"node2/net.bytes_on_wire.tx.FC_RECONCILE_REP", 2609},
+      {"node2/net.bytes_on_wire.tx.FEEDBACK", 22400},
+      {"node2/net.bytes_on_wire.tx.PREVOTE_REP", 96},
+      {"node2/net.bytes_on_wire.tx.PREVOTE_REQ", 192},
+      {"node2/net.bytes_on_wire.tx.RESPONSE", 19224},
+      {"node2/net.bytes_on_wire.tx.VOTE_REP", 96},
+      {"node2/net.bytes_on_wire.tx.VOTE_REQ", 192},
+  };
+  EXPECT_EQ(by_type, golden);
+  for (const char* type : {"PREVOTE_REQ", "VOTE_REQ", "BATCH"}) {
+    bool seen = false;
+    for (const auto& [name, value] : by_type) {
+      seen |= name.ends_with(std::string(".tx.") + type);
+    }
+    EXPECT_TRUE(seen) << type;
+  }
+  // Per node and direction the per-type bytes sum to the wire-byte total.
+  for (NodeId n = 0; n < 3; ++n) {
+    for (const std::string dir : {"tx", "rx"}) {
+      const std::string scope = "node" + std::to_string(n) + "/net.";
+      uint64_t sum = 0;
+      for (const auto& [name, value] : by_type) {
+        sum += name.starts_with(scope + "bytes_on_wire." + dir + ".") ? value : 0;
+      }
+      EXPECT_EQ(sum, net.at(scope + dir + "_wire_bytes")) << scope << dir;
+      EXPECT_GT(sum, 0u);
+    }
+  }
 }
 
 }  // namespace
