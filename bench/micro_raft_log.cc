@@ -1,8 +1,11 @@
 // Microbenchmarks for the Raft log hot paths (google-benchmark).
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <memory>
+#include <vector>
 
+#include "src/common/buffer.h"
 #include "src/raft/log.h"
 #include "src/raft/wal_codec.h"
 #include "src/sim/simulator.h"
@@ -149,6 +152,59 @@ void BM_StableStorageAppendEntry24B(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(disk.stats().bytes_written));
 }
 BENCHMARK(BM_StableStorageAppendEntry24B);
+
+// Snapshot save at the ycsb-e-pp5-80k image size: every 20 ms compaction
+// writes a ~21 MiB image per replica. The checksum cases compare the FNV-1a
+// the snapshot file used to carry with SnapshotChecksum; the save case is
+// one whole single-pass StableStorage snapshot write.
+constexpr size_t kYcsbImageBytes = size_t{21} << 20;
+
+// Runs `body` once per benchmark iteration and reports ns per MiB of `bytes`.
+template <typename Body>
+void TimePerMiB(benchmark::State& state, size_t bytes, Body body) {
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    body();
+  }
+  const std::chrono::duration<double, std::nano> elapsed = std::chrono::steady_clock::now() - start;
+  const double mib = static_cast<double>(bytes) / (1 << 20) * static_cast<double>(state.iterations());
+  state.counters["ns_per_MiB"] = elapsed.count() / mib;
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes));
+}
+
+std::vector<uint8_t> YcsbSizedImage() {
+  std::vector<uint8_t> image(kYcsbImageBytes);
+  for (size_t i = 0; i < image.size(); ++i) {
+    image[i] = static_cast<uint8_t>(i * 131 + (i >> 12));
+  }
+  return image;
+}
+
+void BM_SnapshotChecksumFnv1a21MiB(benchmark::State& state) {
+  const std::vector<uint8_t> image = YcsbSizedImage();
+  TimePerMiB(state, image.size(), [&]() { benchmark::DoNotOptimize(Fnv1aHash(image)); });
+}
+BENCHMARK(BM_SnapshotChecksumFnv1a21MiB)->Unit(benchmark::kMillisecond);
+
+void BM_SnapshotChecksum21MiB(benchmark::State& state) {
+  const std::vector<uint8_t> image = YcsbSizedImage();
+  TimePerMiB(state, image.size(), [&]() { benchmark::DoNotOptimize(SnapshotChecksum(image)); });
+}
+BENCHMARK(BM_SnapshotChecksum21MiB)->Unit(benchmark::kMillisecond);
+
+void BM_StableStorageSaveSnapshot21MiB(benchmark::State& state) {
+  Simulator sim;
+  SimDisk disk(&sim, 1, 0);
+  StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
+  const std::vector<uint8_t> image = YcsbSizedImage();
+  LogIndex idx = 0;
+  TimePerMiB(state, image.size(), [&]() {
+    storage.BeginSnapshot(++idx, 1, image.size())->PutBytes(image);
+    storage.FinishSnapshot();
+  });
+}
+BENCHMARK(BM_StableStorageSaveSnapshot21MiB)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace hovercraft

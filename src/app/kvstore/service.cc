@@ -1,5 +1,6 @@
 #include "src/app/kvstore/service.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/common/buffer.h"
@@ -209,10 +210,11 @@ KvReply KvService::Apply(const KvCommand& cmd, TimeNs* cost_out) {
 }
 
 Body KvService::SnapshotState() const {
-  BufferWriter w(4096);
+  BufferWriter w(std::max<size_t>(4096, last_snapshot_bytes_ + last_snapshot_bytes_ / 16));
   w.PutU64(applied_);
   w.PutU64(mutation_digest_);
   store_.SerializeTo(w);
+  last_snapshot_bytes_ = w.size();
   return MakeBody(w.TakeBytes());
 }
 

@@ -58,6 +58,9 @@ class KvService final : public StateMachine {
   KvStore store_;
   uint64_t applied_ = 0;
   uint64_t mutation_digest_ = 0xCBF29CE484222325ull;
+  // Size of the last SnapshotState image: the next one reserves this plus
+  // 1/16 up front instead of growing from a small buffer by doubling.
+  mutable size_t last_snapshot_bytes_ = 0;
 };
 
 }  // namespace hovercraft

@@ -128,8 +128,11 @@ class BufferReader {
   size_t pos_ = 0;
 };
 
-// FNV-1a 64-bit hash; used for request-body hashes (paper section 5) and
-// state-machine digests in tests.
+// FNV-1a 64-bit hash, one byte per multiply. Used for request-body hashes
+// (paper section 5, HashRequestBody), the CRC of every WAL record
+// (StableStorage) and the kvstore and lock-service state digests. The
+// snapshot file, which is megabytes per write, uses the word-parallel
+// SnapshotChecksum instead (src/storage/stable_storage.h).
 inline uint64_t Fnv1aHash(std::span<const uint8_t> data, uint64_t seed = 0xCBF29CE484222325ull) {
   uint64_t h = seed;
   for (uint8_t b : data) {

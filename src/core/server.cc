@@ -11,6 +11,23 @@
 
 namespace hovercraft {
 
+namespace {
+
+// Every persisted snapshot blob starts [u8 has_config]([u64 config_idx][config])?.
+size_t ConfigPrefixSize(const MembershipConfig* config) {
+  return 1 + (config != nullptr ? 8 + EncodedConfigSize(*config) : 0);
+}
+
+void PutConfigPrefix(const MembershipConfig* config, LogIndex config_idx, BufferWriter* w) {
+  w->PutU8(config != nullptr ? 1 : 0);
+  if (config != nullptr) {
+    w->PutU64(config_idx);
+    EncodeConfig(*config, w);
+  }
+}
+
+}  // namespace
+
 ReplicatedServer::ReplicatedServer(Simulator* sim, const CostModel& costs,
                                    const ServerConfig& config, std::unique_ptr<StateMachine> app,
                                    uint64_t seed)
@@ -119,22 +136,27 @@ void ReplicatedServer::Restart() {
 }
 
 void ReplicatedServer::PersistLocalSnapshot() {
-  // Blob layout: [u8 has_config]([u64 config_idx][config])?[wire body] where
-  // the wire body is CaptureSnapshot()'s [sessions][shard][app bytes]. The
-  // membership config rides along so a recovered node whose whole log was
-  // compacted away still knows who its peers are.
-  RaftNode::Env::SnapshotCapture capture = CaptureSnapshot();
-  const LogIndex idx = capture.last_included;
+  // Blob layout: [config prefix][sessions][shard][app bytes] — the config
+  // prefix, then the same body CaptureSnapshot() would build, written in one
+  // pass straight into the snapshot file buffer. The membership config rides
+  // along so a recovered node whose whole log was compacted away still knows
+  // who its peers are.
+  const LogIndex idx = apply_cursor_;
   const Term term = idx == 0 ? 0 : raft_->log().TermAt(idx);
   auto [config_idx, config] = raft_->ConfigCoveringIndex(idx);
-  BufferWriter w;
-  w.PutU8(config != nullptr ? 1 : 0);
-  if (config != nullptr) {
-    w.PutU64(config_idx);
-    EncodeConfig(*config, &w);
+  const Body app_state = app_->SnapshotState();
+  const size_t app_bytes = app_state != nullptr ? app_state->size() : 0;
+  BufferWriter* w = storage_->BeginSnapshot(
+      idx, term,
+      ConfigPrefixSize(config.get()) + sessions_.SerializedSize() + shard_.SerializedSize() +
+          app_bytes);
+  PutConfigPrefix(config.get(), config_idx, w);
+  sessions_.Serialize(w);
+  shard_.Serialize(w);
+  if (app_state != nullptr) {
+    w->PutBytes(*app_state);
   }
-  w.PutBytes(*capture.state);
-  storage_->SaveSnapshot(idx, term, w.TakeBytes());
+  storage_->FinishSnapshot();
   local_snapshot_idx_ = idx;
 }
 
@@ -992,14 +1014,11 @@ void ReplicatedServer::RestoreSnapshot(const Body& state, LogIndex last_included
     // Persist the received image before the raft layer journals the covering
     // truncate/compact records: a power fail right after the compact must
     // still find a snapshot at least as new as the new log base.
-    BufferWriter w;
-    w.PutU8(config != nullptr ? 1 : 0);
-    if (config != nullptr) {
-      w.PutU64(config_idx);
-      EncodeConfig(*config, &w);
-    }
-    w.PutBytes(*state);
-    storage_->SaveSnapshot(last_included, included_term, w.TakeBytes());
+    BufferWriter* w = storage_->BeginSnapshot(last_included, included_term,
+                                              ConfigPrefixSize(config.get()) + state->size());
+    PutConfigPrefix(config.get(), config_idx, w);
+    w->PutBytes(*state);
+    storage_->FinishSnapshot();
     local_snapshot_idx_ = std::max(local_snapshot_idx_, last_included);
   }
 }

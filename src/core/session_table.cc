@@ -71,6 +71,17 @@ void SessionTable::Serialize(BufferWriter* w) const {
   }
 }
 
+size_t SessionTable::SerializedSize() const {
+  size_t bytes = 4;
+  for (const auto& [client, session] : sessions_) {
+    bytes += 8 + 8 + 4;
+    for (const auto& [seq, entry] : session.replies) {
+      bytes += 8 + 4 + 4 + (entry.reply == nullptr ? 0 : entry.reply->size());
+    }
+  }
+  return bytes;
+}
+
 Status SessionTable::Restore(BufferReader* r) {
   std::map<HostId, ClientSession> restored;
   uint32_t client_count = 0;

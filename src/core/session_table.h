@@ -53,6 +53,8 @@ class SessionTable {
   // the application state inside one snapshot body.
   void Serialize(BufferWriter* w) const;
   Status Restore(BufferReader* r);
+  // Exactly the number of bytes Serialize appends.
+  size_t SerializedSize() const;
 
   // --- Shard-move range handoff (docs/sharding.md). ---
   // SerializeRange emits the cached replies whose slot tag falls in

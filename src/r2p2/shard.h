@@ -145,6 +145,7 @@ class ShardServeState {
   // bytes; an unsharded server serializes an empty state (16 bytes).
   void Serialize(BufferWriter* w) const;
   Status Restore(BufferReader* r);
+  size_t SerializedSize() const { return 8 + 4 + 4 * frozen_.size() + 4 + 4 * dropped_.size(); }
 
  private:
   std::set<uint32_t> frozen_;

@@ -28,6 +28,9 @@ bool DecodeWalEntry(std::span<const uint8_t> bytes, LogEntry* out);
 
 // Membership config codec, shared with the server snapshot blob.
 void EncodeConfig(const MembershipConfig& config, BufferWriter* w);
+inline size_t EncodedConfigSize(const MembershipConfig& config) {
+  return 4 + 8 * config.voters.size() + 4 + 8 * config.learners.size();
+}
 MembershipConfigPtr DecodeConfig(BufferReader* r);  // null on malformed input
 
 }  // namespace hovercraft

@@ -1,7 +1,9 @@
 #include "src/storage/stable_storage.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
+#include <cstring>
 #include <utility>
 
 #include "src/common/buffer.h"
@@ -14,13 +16,54 @@ namespace {
 
 constexpr size_t kRecordHeaderBytes = 4 + 1 + 8;  // len, type, crc
 constexpr char kSnapshotFile[] = "snapshot";
+constexpr size_t kSnapshotHeaderBytes = 8 + 8 + 8 + 4;  // checksum, idx, term, len
+constexpr size_t kSnapshotLenOffset = 8 + 8 + 8;
 
 uint64_t RecordCrc(uint8_t type, std::span<const uint8_t> payload) {
   const uint8_t t[1] = {type};
   return Fnv1aHash(payload, Fnv1aHash(std::span<const uint8_t>(t, 1)));
 }
 
+uint64_t LoadLe64(const uint8_t* p) {
+  uint64_t w = 0;
+  std::memcpy(&w, p, sizeof(w));
+  if constexpr (std::endian::native == std::endian::big) {
+    w = __builtin_bswap64(w);
+  }
+  return w;
+}
+
 }  // namespace
+
+uint64_t SnapshotChecksum(std::span<const uint8_t> data) {
+  constexpr uint64_t kPrime = 0x100000001B3ull;  // odd: multiplying is a bijection
+  constexpr uint64_t kBasis = 0xCBF29CE484222325ull;
+  // The rotation feeds each multiply's high bits back into the low bits the
+  // next multiply spreads upward; distinct seeds keep the lanes apart.
+  auto mix = [](uint64_t h, uint64_t v) { return std::rotl((h ^ v) * kPrime, 31); };
+  uint64_t lane[4] = {kBasis, kBasis + 0x9E3779B97F4A7C15ull, kBasis + 0x3C6EF372FE94F82Aull,
+                      kBasis + 0xDAA66D2C7DDF743Full};
+  const uint8_t* p = data.data();
+  const size_t n = data.size();
+  size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    lane[0] = mix(lane[0], LoadLe64(p + i));
+    lane[1] = mix(lane[1], LoadLe64(p + i + 8));
+    lane[2] = mix(lane[2], LoadLe64(p + i + 16));
+    lane[3] = mix(lane[3], LoadLe64(p + i + 24));
+  }
+  for (size_t k = 0; i + 8 <= n; i += 8, ++k) {
+    lane[k] = mix(lane[k], LoadLe64(p + i));
+  }
+  uint64_t h = kBasis;
+  for (uint64_t l : lane) {
+    h = mix(h, l);
+  }
+  for (; i < n; ++i) {
+    h = mix(h, p[i]);
+  }
+  return mix(h, n);
+}
 
 void StableStorage::AddSegment(uint64_t seq) {
   char name[24];
@@ -173,16 +216,27 @@ void StableStorage::AppendCompact(LogIndex base_idx, Term base_term) {
 }
 
 void StableStorage::SaveSnapshot(LogIndex idx, Term term, std::vector<uint8_t> payload) {
-  BufferWriter w(28 + payload.size());
-  w.PutU64(idx);
-  w.PutU64(static_cast<uint64_t>(term));
-  w.PutU32(static_cast<uint32_t>(payload.size()));
-  w.PutBytes(payload);
-  const uint64_t crc = Fnv1aHash(w.bytes());
-  BufferWriter file(8 + w.size());
-  file.PutU64(crc);
-  file.PutBytes(w.bytes());
-  disk_->WriteAndSync(kSnapshotFile, file.TakeBytes());
+  BeginSnapshot(idx, term, payload.size())->PutBytes(payload);
+  FinishSnapshot();
+}
+
+BufferWriter* StableStorage::BeginSnapshot(LogIndex idx, Term term, size_t payload_bytes) {
+  HC_CHECK_EQ(snapshot_.size(), 0u);  // one snapshot write at a time
+  snapshot_ = BufferWriter(kSnapshotHeaderBytes + payload_bytes);
+  snapshot_payload_bytes_ = payload_bytes;
+  snapshot_.PutU64(0);  // checksum, patched by FinishSnapshot
+  snapshot_.PutU64(idx);
+  snapshot_.PutU64(static_cast<uint64_t>(term));
+  snapshot_.PutU32(0);  // length, patched by FinishSnapshot
+  return &snapshot_;
+}
+
+void StableStorage::FinishSnapshot() {
+  const size_t len = snapshot_.size() - kSnapshotHeaderBytes;
+  HC_CHECK_EQ(len, snapshot_payload_bytes_);  // the reservation was exact
+  snapshot_.PatchU32(kSnapshotLenOffset, static_cast<uint32_t>(len));
+  snapshot_.PatchU64(0, SnapshotChecksum(std::span<const uint8_t>(snapshot_.bytes()).subspan(8)));
+  disk_->WriteAndSync(kSnapshotFile, snapshot_.TakeBytes());
   ++stats_.snapshots_saved;
 }
 
@@ -237,7 +291,7 @@ StableStorage::Recovery StableStorage::Recover(bool protocol_aware) {
     bool ok = r.GetU64(crc).ok() && r.GetU64(idx).ok() && r.GetU64(term).ok() &&
               r.GetU32(len).ok() && r.remaining() == len;
     if (ok) {
-      ok = crc == Fnv1aHash(std::span<const uint8_t>(raw).subspan(8));
+      ok = crc == SnapshotChecksum(std::span<const uint8_t>(raw).subspan(8));
     }
     if (ok) {
       rec.has_snapshot = true;

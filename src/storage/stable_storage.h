@@ -8,7 +8,9 @@
 //               layer keeps only the (index, term, replier) envelope it needs
 //               for replay, truncation, and corruption targeting.
 //   snapshot    the latest local state snapshot (session table + application
-//               state blob), written atomically via WriteAndSync.
+//               state blob), written atomically via WriteAndSync. Framing is
+//               [u64 checksum][u64 idx][u64 term][u32 len][payload]; the
+//               checksum (SnapshotChecksum) covers everything after itself.
 //
 // Durability discipline: records land in the volatile tail; Sync() runs a
 // barrier priced by persist_latency under the configured FsyncPolicy. Hard
@@ -46,6 +48,15 @@
 #include "src/storage/sim_disk.h"
 
 namespace hovercraft {
+
+// The snapshot file's checksum: four independent xor-multiply-rotate lanes
+// (FNV-1a prime) over little-endian 8-byte words, then the lanes, the tail
+// bytes and the length folded into one value. Every step is a bijection of
+// the word it absorbs, so any single-byte or single-word change is always
+// detected. Four chains of one multiply per 8 bytes replace FNV-1a's single
+// chain of one multiply per byte (docs/durability.md). WAL records keep
+// their FNV-1a CRC.
+uint64_t SnapshotChecksum(std::span<const uint8_t> data);
 
 struct StorageStats {
   uint64_t entry_records = 0;
@@ -121,8 +132,15 @@ class StableStorage {
   // Logical prefix compaction; drops whole WAL segments that fell below the
   // new base. Callers persist a covering snapshot first.
   void AppendCompact(LogIndex base_idx, Term base_term);
-  // Atomically replaces the local snapshot (synced inline).
+  // Atomically replaces the local snapshot (synced inline). A thin wrapper
+  // over BeginSnapshot/FinishSnapshot.
   void SaveSnapshot(LogIndex idx, Term term, std::vector<uint8_t> payload);
+  // Single-pass snapshot write: BeginSnapshot starts the file image in a
+  // buffer reserved for the header plus exactly `payload_bytes`; the caller
+  // appends that many payload bytes; FinishSnapshot patches the length and
+  // checksum in place and moves the buffer to the disk.
+  BufferWriter* BeginSnapshot(LogIndex idx, Term term, size_t payload_bytes);
+  void FinishSnapshot();
 
   // Durability barrier under the configured policy. Returns true when it
   // completed inline (cb already ran); false when cb runs later, unless the
@@ -192,6 +210,8 @@ class StableStorage {
   Term base_term_ = 0;
   bool in_baseline_ = false;
   BufferWriter record_;  // reused for every record
+  BufferWriter snapshot_;  // the snapshot file image between Begin and Finish
+  size_t snapshot_payload_bytes_ = 0;
 
   // entry_locations_[i] locates index first_location_ + i; corruption
   // targeting only. Pruned by truncation and compaction.

@@ -1,12 +1,14 @@
 // Cluster-level durability tests: power-fail crashes that genuinely lose the
 // unsynced WAL suffix, the restart fence on deferred persist acks, suspect
-// recovery and its election gate, and exactly-once retries across power
-// failures (docs/durability.md).
+// recovery and its election gate, exactly-once retries across power
+// failures, and recovery from a large kvstore snapshot (docs/durability.md).
 #include <gtest/gtest.h>
 
 #include <memory>
 
+#include "src/app/kvstore/service.h"
 #include "src/app/synthetic.h"
+#include "src/app/ycsb.h"
 #include "src/core/cluster.h"
 #include "src/loadgen/client.h"
 #include "src/loadgen/workload.h"
@@ -310,6 +312,97 @@ TEST(DurabilityTest, SessionTableSurvivesPowerFailReplay) {
   EXPECT_TRUE(cluster.server(victim).sessions().Executed(RequestId{client->id(), 1}));
   EXPECT_EQ(cluster.server(victim).sessions().AckWatermark(client->id()),
             cluster.server(cluster.LeaderId()).sessions().AckWatermark(client->id()));
+}
+
+// ---------------------------------------------------------------------------
+// Recovery from a large, non-synthetic snapshot image: HovercRaft++ N=3 on
+// the YCSB-E-preloaded kvstore (a multi-MiB image per replica).
+// ---------------------------------------------------------------------------
+
+struct KvRun {
+  std::unique_ptr<Cluster> cluster;
+  std::unique_ptr<ClientHost> client;
+  NodeId victim = kInvalidNode;
+};
+
+// Runs YCSB-E load past several 20 ms compactions and power-fails a
+// follower; the caller restarts it.
+KvRun RunKvAndPowerFailFollower(uint64_t seed) {
+  YcsbEConfig ycsb;
+  ycsb.conversation_count = 500;
+  ycsb.preload_per_conversation = 10;
+  ClusterConfig config = Config(ClusterMode::kHovercRaftPP, 3, seed);
+  // A short retention window lets each compaction drop log and WAL prefix,
+  // so recovery has to start from the snapshot.
+  config.raft.log_retention_entries = 256;
+  config.app_factory = [ycsb]() {
+    auto svc = std::make_unique<KvService>();
+    Rng rng(0xFEED5EED);  // identical preload on every replica
+    for (const KvCommand& cmd : YcsbEGenerator(ycsb).PreloadCommands(rng)) {
+      svc->Apply(cmd);
+    }
+    return svc;
+  };
+  KvRun run;
+  run.cluster = std::make_unique<Cluster>(config);
+  Cluster& cluster = *run.cluster;
+  EXPECT_NE(cluster.WaitForLeader(), kInvalidNode);
+  run.client = std::make_unique<ClientHost>(
+      &cluster.sim(), cluster.config().costs, [&cluster]() { return cluster.ClientTarget(); },
+      std::make_unique<YcsbEWorkload>(ycsb), 20'000, seed + 1);
+  cluster.network().Attach(run.client.get());
+  const TimeNs t0 = cluster.sim().Now();
+  run.client->StartLoad(t0, t0 + Millis(150));
+  cluster.sim().RunUntil(t0 + Millis(70));
+  run.victim = (cluster.LeaderId() + 1) % 3;
+  // Genesis plus at least two compaction-time snapshots are on the platter.
+  EXPECT_GE(cluster.server(run.victim).storage()->stats().snapshots_saved, 3u);
+  EXPECT_GT(cluster.server(run.victim).disk()->Size("snapshot"), size_t{1} << 20);
+  cluster.PowerFailNode(run.victim);
+  cluster.sim().RunUntil(t0 + Millis(90));
+  return run;
+}
+
+void ExpectConverged(Cluster& cluster, NodeId victim) {
+  cluster.sim().RunUntil(cluster.sim().Now() + Millis(300));
+  const NodeId leader = cluster.LeaderId();
+  ASSERT_NE(leader, kInvalidNode);
+  EXPECT_FALSE(cluster.server(victim).raft()->suspect());
+  EXPECT_EQ(cluster.server(victim).raft()->commit_index(),
+            cluster.server(leader).raft()->commit_index());
+  EXPECT_EQ(cluster.server(victim).app().Digest(), cluster.server(leader).app().Digest());
+}
+
+TEST(DurabilityTest, KvFollowerRecoversFromItsOwnLargeSnapshot) {
+  KvRun run = RunKvAndPowerFailFollower(131);
+  Cluster& cluster = *run.cluster;
+  cluster.RestartNode(run.victim);
+  const ReplicatedServer& victim = cluster.server(run.victim);
+  // Applied state resumes at the node's own snapshot point; the genesis
+  // fallback would restart from index 0 and as a suspect.
+  EXPECT_EQ(victim.storage()->stats().suspect_recoveries, 0u);
+  EXPECT_FALSE(victim.raft()->suspect());
+  EXPECT_GT(victim.raft()->log().first_index(), 1u);  // the WAL prefix is gone
+  EXPECT_GE(victim.raft()->applied_index(), victim.raft()->log().first_index() - 1);
+  ExpectConverged(cluster, run.victim);
+  EXPECT_EQ(victim.server_stats().snapshots_restored, 0u);  // no state transfer needed
+}
+
+TEST(DurabilityTest, KvFollowerWithDamagedSnapshotIsRepairedByInstallSnapshot) {
+  KvRun run = RunKvAndPowerFailFollower(137);
+  Cluster& cluster = *run.cluster;
+  SimDisk* disk = cluster.server(run.victim).disk();
+  ASSERT_TRUE(disk->FlipByte("snapshot", disk->Size("snapshot") / 2));
+  cluster.RestartNode(run.victim);
+  const ReplicatedServer& victim = cluster.server(run.victim);
+  EXPECT_EQ(victim.storage()->stats().suspect_recoveries, 1u);
+  EXPECT_TRUE(victim.raft()->suspect());
+  EXPECT_EQ(victim.raft()->applied_index(), 0u);  // genesis fallback
+  ExpectConverged(cluster, run.victim);
+  // Repaired by the leader's state transfer, which the node persisted
+  // through the single-pass RestoreSnapshot path.
+  EXPECT_GE(victim.server_stats().snapshots_restored, 1u);
+  EXPECT_EQ(victim.raft()->stats().suspect_repaired, 1u);
 }
 
 }  // namespace

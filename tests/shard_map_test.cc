@@ -172,6 +172,7 @@ TEST(ShardServeStateTest, SerializeRoundTripsCtlWatermark) {
   BufferWriter w;
   state.Serialize(&w);
   const std::vector<uint8_t> bytes = w.TakeBytes();
+  EXPECT_EQ(state.SerializedSize(), bytes.size());
   BufferReader r(bytes);
   ShardServeState restored;
   restored.sharded = true;

@@ -102,6 +102,7 @@ TEST(SnapshotTest, SessionTableSerializeRoundTrip) {
   BufferWriter w;
   a.Serialize(&w);
   const std::vector<uint8_t> bytes = w.TakeBytes();
+  EXPECT_EQ(a.SerializedSize(), bytes.size());
   SessionTable b;
   BufferReader r(bytes);
   ASSERT_TRUE(b.Restore(&r).ok());

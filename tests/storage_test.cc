@@ -7,7 +7,9 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/buffer.h"
@@ -558,6 +560,131 @@ TEST(StableStorageTest, CorruptEntryTargetsNewestRecordAcrossRotationAndRecovery
     StableStorage::Recovery again = storage.Recover(true);
     EXPECT_TRUE(again.suspect);
     EXPECT_EQ(storage.stats().corrupt_records, 2u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot file: checksum, corruption detection and golden bytes.
+// ---------------------------------------------------------------------------
+
+std::vector<uint8_t> Pattern(size_t n) {
+  std::vector<uint8_t> out(n);
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<uint8_t>(i * 37 + 11);
+  }
+  return out;
+}
+
+std::string Hex(std::span<const uint8_t> bytes) {
+  std::string hex;
+  for (uint8_t b : bytes) {
+    char buf[3];
+    std::snprintf(buf, sizeof(buf), "%02x", b);
+    hex += buf;
+  }
+  return hex;
+}
+
+TEST(SnapshotChecksumTest, KnownAnswerVectors) {
+  // Lengths: empty; tail bytes only; one word; three leftover words plus a
+  // 7-byte tail; one full four-lane block; a block plus one tail byte; two
+  // blocks plus a 5-byte tail.
+  const std::pair<size_t, uint64_t> kVectors[] = {
+      {0, 0x12A3E42AD9599D1Bull},  {1, 0xE9A519570311C35Aull},  {7, 0x1EBEADAE83839CECull},
+      {8, 0x0BF317F59EFD6868ull},  {31, 0xBD987C9879B8B910ull}, {32, 0x9ACF16C7B68BF5DEull},
+      {33, 0xD7B6F2E6CC793429ull}, {69, 0x365F5A42BC11DF77ull},
+  };
+  for (const auto& [len, want] : kVectors) {
+    EXPECT_EQ(SnapshotChecksum(Pattern(len)), want) << "length " << len;
+  }
+}
+
+TEST(SnapshotChecksumTest, EverySingleByteChangeIsDetected) {
+  // 1021 bytes: 31 four-lane blocks, 3 leftover words and a 5-byte tail, so
+  // every absorption path is covered; every nonzero xor of every byte.
+  const std::vector<uint8_t> data = Pattern(1021);
+  const uint64_t want = SnapshotChecksum(data);
+  std::vector<uint8_t> damaged = data;
+  for (size_t i = 0; i < data.size(); ++i) {
+    for (int mask = 1; mask < 256; ++mask) {
+      damaged[i] = static_cast<uint8_t>(data[i] ^ mask);
+      ASSERT_NE(SnapshotChecksum(damaged), want) << "offset " << i << " mask " << mask;
+    }
+    damaged[i] = data[i];
+  }
+}
+
+TEST(SnapshotChecksumTest, TopBitFlipsInOneLaneDoNotCancel) {
+  // Bit 63 of words 0 and 4 (lane 0 of two consecutive blocks). Without the
+  // per-step rotation a difference confined to bit 63 stays there through
+  // every multiply, so these two flips would cancel exactly.
+  const std::vector<uint8_t> data = Pattern(64);
+  std::vector<uint8_t> damaged = data;
+  damaged[7] ^= 0x80;
+  damaged[39] ^= 0x80;
+  EXPECT_NE(SnapshotChecksum(damaged), SnapshotChecksum(data));
+}
+
+TEST(StableStorageTest, AnyFlippedByteOrTruncationDropsTheSnapshot) {
+  Simulator sim;
+  SimDisk disk(&sim, 1, 0);
+  StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
+  // The checksum covers everything after its own 8 bytes: a 20-byte header
+  // remainder plus 1001 payload bytes = the 1021-byte shape above, so the
+  // flips hit the header, all four lanes, the leftover words and the tail.
+  const std::vector<uint8_t> payload = Pattern(1001);
+  storage.SaveSnapshot(12, 2, payload);
+  const std::vector<uint8_t> pristine = disk.Read("snapshot");
+  ASSERT_EQ(pristine.size(), 28u + payload.size());
+  for (size_t off = 0; off < pristine.size(); ++off) {
+    disk.WriteAndSync("snapshot", pristine);
+    ASSERT_TRUE(disk.FlipByte("snapshot", off));
+    const StableStorage::Recovery rec = storage.Recover(true);
+    ASSERT_FALSE(rec.has_snapshot) << "offset " << off;
+    ASSERT_TRUE(rec.suspect) << "offset " << off;
+  }
+  disk.WriteAndSync("snapshot", pristine);
+  disk.Truncate("snapshot", pristine.size() - 1);
+  StableStorage::Recovery truncated = storage.Recover(true);
+  EXPECT_FALSE(truncated.has_snapshot);
+  EXPECT_TRUE(truncated.suspect);
+
+  disk.WriteAndSync("snapshot", pristine);
+  StableStorage::Recovery intact = storage.Recover(true);
+  ASSERT_TRUE(intact.has_snapshot);
+  EXPECT_FALSE(intact.suspect);
+  EXPECT_EQ(intact.snapshot_payload, payload);
+}
+
+TEST(StableStorageTest, GoldenSnapshotBytes) {
+  // [u64 checksum][u64 idx][u64 term][u32 len][payload]. Everything after
+  // the checksum is the original layout; the vector wrapper and the
+  // single-pass path write the same file.
+  const std::string kGoldenSnapshot =
+      "f9b7579eecd0621f"                                  // checksum
+      "0700000000000000" "0300000000000000" "15000000"    // idx, term, len
+      "0b30557a9fc4e90e33587da2c7ec11365b80a5caef";       // payload
+  const std::vector<uint8_t> payload = Pattern(21);
+  for (bool single_pass : {false, true}) {
+    SCOPED_TRACE(single_pass ? "single pass" : "vector wrapper");
+    Simulator sim;
+    SimDisk disk(&sim, 1, 0);
+    StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
+    if (single_pass) {
+      BufferWriter* w = storage.BeginSnapshot(7, 3, payload.size());
+      w->PutU8(payload[0]);
+      w->PutBytes(std::span<const uint8_t>(payload).subspan(1));
+      storage.FinishSnapshot();
+    } else {
+      storage.SaveSnapshot(7, 3, payload);
+    }
+    EXPECT_EQ(Hex(disk.Read("snapshot")), kGoldenSnapshot);
+    EXPECT_EQ(storage.stats().snapshots_saved, 1u);
+    StableStorage::Recovery rec = storage.Recover(true);
+    ASSERT_TRUE(rec.has_snapshot);
+    EXPECT_EQ(rec.snapshot_index, 7u);
+    EXPECT_EQ(rec.snapshot_term, 3u);
+    EXPECT_EQ(rec.snapshot_payload, payload);
   }
 }
 
