@@ -5,7 +5,10 @@
 #include <memory>
 #include <vector>
 
+#include "src/app/kvstore/service.h"
+#include "src/app/ycsb.h"
 #include "src/common/buffer.h"
+#include "src/common/random.h"
 #include "src/raft/log.h"
 #include "src/raft/wal_codec.h"
 #include "src/sim/simulator.h"
@@ -205,6 +208,54 @@ void BM_StableStorageSaveSnapshot21MiB(benchmark::State& state) {
   });
 }
 BENCHMARK(BM_StableStorageSaveSnapshot21MiB)->Unit(benchmark::kMillisecond);
+
+// The same save with the real image: a KvService holding the ycsb-e
+// preload (2000 conversations x 10 posts of 1 KB, ~21 MiB). SinglePass is
+// the server's path: the store serializes straight into the snapshot file's
+// buffer through StateMachine::SnapshotTo. ViaSnapshotState is the default
+// route a wrapper that overrides only SnapshotState() takes: serialize into
+// a fresh vector, then copy it into the file.
+std::unique_ptr<KvService> YcsbPreloadedKv() {
+  auto svc = std::make_unique<KvService>();
+  Rng rng(1);
+  for (const KvCommand& cmd : YcsbEGenerator(YcsbEConfig{}).PreloadCommands(rng)) {
+    svc->Apply(cmd);
+  }
+  return svc;
+}
+
+void BM_KvSnapshotSinglePass21MiB(benchmark::State& state) {
+  Simulator sim;
+  SimDisk disk(&sim, 1, 0);
+  StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
+  const std::unique_ptr<KvService> svc = YcsbPreloadedKv();
+  LogIndex idx = 0;
+  TimePerMiB(state, 16 + svc->store().SerializedSize(), [&]() {
+    WriteSnapshot(*svc, [&](size_t image_bytes) {
+      return storage.BeginSnapshot(++idx, 1, image_bytes);
+    });
+    storage.FinishSnapshot();
+    benchmark::DoNotOptimize(disk.Read("snapshot").data());
+    benchmark::ClobberMemory();
+  });
+}
+BENCHMARK(BM_KvSnapshotSinglePass21MiB)->Unit(benchmark::kMillisecond);
+
+void BM_KvSnapshotViaSnapshotState21MiB(benchmark::State& state) {
+  Simulator sim;
+  SimDisk disk(&sim, 1, 0);
+  StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
+  const std::unique_ptr<KvService> svc = YcsbPreloadedKv();
+  LogIndex idx = 0;
+  TimePerMiB(state, 16 + svc->store().SerializedSize(), [&]() {
+    const Body image = svc->SnapshotState();
+    storage.BeginSnapshot(++idx, 1, image.size())->PutBytes(image.bytes());
+    storage.FinishSnapshot();
+    benchmark::DoNotOptimize(disk.Read("snapshot").data());
+    benchmark::ClobberMemory();
+  });
+}
+BENCHMARK(BM_KvSnapshotViaSnapshotState21MiB)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace hovercraft

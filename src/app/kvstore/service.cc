@@ -1,6 +1,5 @@
 #include "src/app/kvstore/service.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/common/buffer.h"
@@ -209,13 +208,11 @@ KvReply KvService::Apply(const KvCommand& cmd, TimeNs* cost_out) {
   return reply;
 }
 
-Body KvService::SnapshotState() const {
-  BufferWriter w(std::max<size_t>(4096, last_snapshot_bytes_ + last_snapshot_bytes_ / 16));
-  w.PutU64(applied_);
-  w.PutU64(mutation_digest_);
-  store_.SerializeTo(w);
-  last_snapshot_bytes_ = w.size();
-  return MakeBody(w.TakeBytes());
+void KvService::SnapshotTo(SnapshotSink& sink) const {
+  BufferWriter* w = sink.Begin(8 + 8 + store_.SerializedSize());
+  w->PutU64(applied_);
+  w->PutU64(mutation_digest_);
+  store_.SerializeTo(*w);
 }
 
 Status KvService::RestoreState(const Body& snapshot) {

@@ -37,8 +37,9 @@ class KvService final : public StateMachine {
   ExecResult Execute(const RpcRequest& request) override;
   uint64_t Digest() const override { return store_.ContentDigest() ^ mutation_digest_; }
   uint64_t ApplyCount() const override { return applied_; }
-  Body SnapshotState() const override;
+  Body SnapshotState() const override { return SnapshotBody(*this); }
   Status RestoreState(const Body& snapshot) override;
+  void SnapshotTo(SnapshotSink& sink) const override;
 
   // Shard-move range handoff: keys are selected by ShardSlotOf(key), the
   // same hash the router uses, so a moved range carries exactly the keys
@@ -58,9 +59,6 @@ class KvService final : public StateMachine {
   KvStore store_;
   uint64_t applied_ = 0;
   uint64_t mutation_digest_ = 0xCBF29CE484222325ull;
-  // Size of the last SnapshotState image: the next one reserves this plus
-  // 1/16 up front instead of growing from a small buffer by doubling.
-  mutable size_t last_snapshot_bytes_ = 0;
 };
 
 }  // namespace hovercraft

@@ -7,6 +7,47 @@
 
 namespace hovercraft {
 
+namespace {
+
+// Serialized sizes (SerializeEntry below): a string is a u32 length plus its
+// bytes; an entry is its key string, a u8 tag and the value, where hashes,
+// lists and sets carry a u64 element count.
+size_t StrBytes(std::string_view s) { return 4 + s.size(); }
+
+size_t ValueBytes(const KvStore::Value& value) {
+  size_t n = 1;  // tag
+  if (const auto* s = std::get_if<KvStore::StringValue>(&value)) {
+    n += StrBytes(*s);
+  } else if (const auto* h = std::get_if<KvStore::HashValue>(&value)) {
+    n += 8;
+    for (const auto& [field, v] : *h) {
+      n += StrBytes(field) + StrBytes(v);
+    }
+  } else if (const auto* l = std::get_if<KvStore::ListValue>(&value)) {
+    n += 8;
+    for (const std::string& item : *l) {
+      n += StrBytes(item);
+    }
+  } else if (const auto* set = std::get_if<KvStore::SetValue>(&value)) {
+    n += 8;
+    for (const std::string& member : *set) {
+      n += StrBytes(member);
+    }
+  }
+  return n;
+}
+
+size_t EntryBytes(std::string_view key, const KvStore::Value& value) {
+  return StrBytes(key) + ValueBytes(value);
+}
+
+// A fresh single-element container entry: key, tag, count, element.
+size_t NewContainerEntryBytes(std::string_view key, size_t element_bytes) {
+  return StrBytes(key) + 1 + 8 + element_bytes;
+}
+
+}  // namespace
+
 const KvStore::Value* KvStore::Find(std::string_view key) const {
   auto it = map_.find(key);
   return it == map_.end() ? nullptr : &it->second;
@@ -18,7 +59,10 @@ KvStore::Value* KvStore::Find(std::string_view key) {
 }
 
 void KvStore::Set(std::string_view key, std::string_view value) {
-  map_[std::string(key)] = StringValue(value);
+  auto [it, inserted] = map_.try_emplace(std::string(key));
+  entry_bytes_ -= inserted ? 0 : EntryBytes(key, it->second);
+  it->second = StringValue(value);
+  entry_bytes_ += StrBytes(key) + 1 + StrBytes(value);
 }
 
 Result<std::string> KvStore::Get(std::string_view key) const {
@@ -38,6 +82,7 @@ bool KvStore::Del(std::string_view key) {
   if (it == map_.end()) {
     return false;
   }
+  entry_bytes_ -= EntryBytes(key, it->second);
   map_.erase(it);
   return true;
 }
@@ -48,13 +93,17 @@ Status KvStore::Hset(std::string_view key, std::string_view field, std::string_v
     HashValue h;
     h.emplace(std::string(field), std::string(value));
     map_.emplace(std::string(key), std::move(h));
+    entry_bytes_ += NewContainerEntryBytes(key, StrBytes(field) + StrBytes(value));
     return Status::Ok();
   }
   auto* h = std::get_if<HashValue>(v);
   if (h == nullptr) {
     return FailedPreconditionError("wrong type");
   }
-  (*h)[std::string(field)] = std::string(value);
+  auto [it, inserted] = h->try_emplace(std::string(field));
+  entry_bytes_ -= inserted ? 0 : StrBytes(field) + StrBytes(it->second);
+  it->second = std::string(value);
+  entry_bytes_ += StrBytes(field) + StrBytes(value);
   return Status::Ok();
 }
 
@@ -80,6 +129,7 @@ Result<size_t> KvStore::Rpush(std::string_view key, std::string_view value) {
     ListValue l;
     l.emplace_back(value);
     map_.emplace(std::string(key), std::move(l));
+    entry_bytes_ += NewContainerEntryBytes(key, StrBytes(value));
     return size_t{1};
   }
   auto* l = std::get_if<ListValue>(v);
@@ -87,6 +137,7 @@ Result<size_t> KvStore::Rpush(std::string_view key, std::string_view value) {
     return Result<size_t>(FailedPreconditionError("wrong type"));
   }
   l->emplace_back(value);
+  entry_bytes_ += StrBytes(value);
   return l->size();
 }
 
@@ -135,6 +186,7 @@ Result<int64_t> KvStore::Incr(std::string_view key) {
   Value* v = Find(key);
   if (v == nullptr) {
     map_.emplace(std::string(key), StringValue("1"));
+    entry_bytes_ += StrBytes(key) + 1 + StrBytes("1");
     return int64_t{1};
   }
   auto* s = std::get_if<StringValue>(v);
@@ -147,7 +199,9 @@ Result<int64_t> KvStore::Incr(std::string_view key) {
     return Result<int64_t>(FailedPreconditionError("value is not an integer"));
   }
   ++current;
+  entry_bytes_ -= s->size();
   *s = std::to_string(current);
+  entry_bytes_ += s->size();
   return current;
 }
 
@@ -155,6 +209,7 @@ Result<size_t> KvStore::Append(std::string_view key, std::string_view suffix) {
   Value* v = Find(key);
   if (v == nullptr) {
     map_.emplace(std::string(key), StringValue(suffix));
+    entry_bytes_ += StrBytes(key) + 1 + StrBytes(suffix);
     return suffix.size();
   }
   auto* s = std::get_if<StringValue>(v);
@@ -162,6 +217,7 @@ Result<size_t> KvStore::Append(std::string_view key, std::string_view suffix) {
     return Result<size_t>(FailedPreconditionError("wrong type"));
   }
   s->append(suffix);
+  entry_bytes_ += suffix.size();
   return s->size();
 }
 
@@ -170,6 +226,7 @@ Result<bool> KvStore::Setnx(std::string_view key, std::string_view value) {
     return false;
   }
   map_.emplace(std::string(key), StringValue(value));
+  entry_bytes_ += StrBytes(key) + 1 + StrBytes(value);
   return true;
 }
 
@@ -182,7 +239,13 @@ Result<bool> KvStore::Hdel(std::string_view key, std::string_view field) {
   if (h == nullptr) {
     return Result<bool>(FailedPreconditionError("wrong type"));
   }
-  return h->erase(std::string(field)) > 0;
+  auto it = h->find(std::string(field));
+  if (it == h->end()) {
+    return false;
+  }
+  entry_bytes_ -= StrBytes(it->first) + StrBytes(it->second);
+  h->erase(it);
+  return true;
 }
 
 Result<std::string> KvStore::Lpop(std::string_view key) {
@@ -199,6 +262,7 @@ Result<std::string> KvStore::Lpop(std::string_view key) {
   }
   std::string out = std::move(l->front());
   l->pop_front();
+  entry_bytes_ -= StrBytes(out);
   return out;
 }
 
@@ -220,13 +284,18 @@ Result<bool> KvStore::Sadd(std::string_view key, std::string_view member) {
     SetValue set;
     set.emplace(member);
     map_.emplace(std::string(key), std::move(set));
+    entry_bytes_ += NewContainerEntryBytes(key, StrBytes(member));
     return true;
   }
   auto* set = std::get_if<SetValue>(v);
   if (set == nullptr) {
     return Result<bool>(FailedPreconditionError("wrong type"));
   }
-  return set->emplace(member).second;
+  if (!set->emplace(member).second) {
+    return false;
+  }
+  entry_bytes_ += StrBytes(member);
+  return true;
 }
 
 Result<bool> KvStore::Srem(std::string_view key, std::string_view member) {
@@ -238,7 +307,11 @@ Result<bool> KvStore::Srem(std::string_view key, std::string_view member) {
   if (set == nullptr) {
     return Result<bool>(FailedPreconditionError("wrong type"));
   }
-  return set->erase(std::string(member)) > 0;
+  if (set->erase(std::string(member)) == 0) {
+    return false;
+  }
+  entry_bytes_ -= StrBytes(member);
+  return true;
 }
 
 Result<bool> KvStore::Sismember(std::string_view key, std::string_view member) const {
@@ -427,6 +500,10 @@ Status KvStore::DeserializeFrom(BufferReader& in) {
     fresh.insert_or_assign(std::move(key), std::move(value));
   }
   map_ = std::move(fresh);
+  entry_bytes_ = 0;
+  for (const auto& [key, value] : map_) {
+    entry_bytes_ += EntryBytes(key, value);
+  }
   return Status::Ok();
 }
 
@@ -456,6 +533,10 @@ Status KvStore::MergeFrom(BufferReader& in) {
     if (Status s = DeserializeEntry(in, key, value); !s.ok()) {
       return s;
     }
+    if (auto old = map_.find(key); old != map_.end()) {
+      entry_bytes_ -= EntryBytes(old->first, old->second);
+    }
+    entry_bytes_ += EntryBytes(key, value);
     map_.insert_or_assign(std::move(key), std::move(value));
   }
   return Status::Ok();
@@ -465,6 +546,7 @@ size_t KvStore::EraseIf(const KeyPredicate& pred) {
   size_t erased = 0;
   for (auto it = map_.begin(); it != map_.end();) {
     if (pred(it->first)) {
+      entry_bytes_ -= EntryBytes(it->first, it->second);
       it = map_.erase(it);
       ++erased;
     } else {

@@ -77,6 +77,9 @@ class KvStore {
   // the current contents.
   void SerializeTo(BufferWriter& out) const;
   Status DeserializeFrom(BufferReader& in);
+  // Exact number of bytes SerializeTo writes, kept up to date by every
+  // mutator, so sizing a snapshot costs O(1) instead of a walk.
+  size_t SerializedSize() const { return 8 + entry_bytes_; }
 
   // --- Shard-move range handoff (src/shard). The predicate selects keys by
   // name, keeping the store agnostic of the shard hash. ---
@@ -105,6 +108,8 @@ class KvStore {
   };
 
   std::unordered_map<std::string, Value, Hash, Eq> map_;
+  // Serialized bytes of every entry in map_ (SerializedSize minus the count).
+  size_t entry_bytes_ = 0;
 };
 
 }  // namespace hovercraft

@@ -147,17 +147,22 @@ uint64_t LockService::Digest() const {
   return digest;
 }
 
-Body LockService::SnapshotState() const {
-  BufferWriter w(64 + holders_.size() * 48);
-  w.PutU64(next_token_);
-  w.PutU64(applied_);
-  w.PutU64(holders_.size());
+void LockService::SnapshotTo(SnapshotSink& sink) const {
+  // [u64 next_token][u64 applied][u64 count] then per lock
+  // [u32 len][name][u32 len][owner][u64 token].
+  size_t bytes = 8 + 8 + 8;
   for (const auto& [lock, holder] : holders_) {
-    w.PutString(lock);
-    w.PutString(holder.owner);
-    w.PutU64(holder.token);
+    bytes += 4 + lock.size() + 4 + holder.owner.size() + 8;
   }
-  return MakeBody(w.TakeBytes());
+  BufferWriter* w = sink.Begin(bytes);
+  w->PutU64(next_token_);
+  w->PutU64(applied_);
+  w->PutU64(holders_.size());
+  for (const auto& [lock, holder] : holders_) {
+    w->PutString(lock);
+    w->PutString(holder.owner);
+    w->PutU64(holder.token);
+  }
 }
 
 Status LockService::RestoreState(const Body& snapshot) {

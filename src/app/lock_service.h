@@ -69,8 +69,9 @@ class LockService final : public StateMachine {
   ExecResult Execute(const RpcRequest& request) override;
   uint64_t Digest() const override;
   uint64_t ApplyCount() const override { return applied_; }
-  Body SnapshotState() const override;
+  Body SnapshotState() const override { return SnapshotBody(*this); }
   Status RestoreState(const Body& snapshot) override;
+  void SnapshotTo(SnapshotSink& sink) const override;
 
   // Direct (non-replicated) application; used by tests and the example.
   LockReply Apply(const LockCommand& cmd);

@@ -12,8 +12,11 @@
 #ifndef SRC_APP_STATE_MACHINE_H_
 #define SRC_APP_STATE_MACHINE_H_
 
+#include <cstddef>
 #include <cstdint>
 
+#include "src/common/buffer.h"
+#include "src/common/check.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/r2p2/messages.h"
@@ -23,6 +26,18 @@ namespace hovercraft {
 struct ExecResult {
   TimeNs service_time = 0;  // app-thread CPU consumed
   Body reply;               // reply body (may be null for empty replies)
+};
+
+// Destination of one snapshot image (StateMachine::SnapshotTo). Begin is
+// called once with the image's exact size and returns the writer the image
+// goes into — for a local snapshot, the snapshot file's own buffer, already
+// holding the server's prefix.
+class SnapshotSink {
+ public:
+  virtual BufferWriter* Begin(size_t image_bytes) = 0;
+
+ protected:
+  ~SnapshotSink() = default;
 };
 
 class StateMachine {
@@ -40,10 +55,21 @@ class StateMachine {
   // Number of read-write operations applied (convenience for tests).
   virtual uint64_t ApplyCount() const = 0;
 
-  // Serializes the complete state for InstallSnapshot transfers. Restore on
-  // a fresh instance must reproduce Digest()/ApplyCount() exactly.
+  // Serializes the complete state for local snapshots and InstallSnapshot
+  // transfers. Restore on a fresh instance must reproduce
+  // Digest()/ApplyCount() exactly.
   virtual Body SnapshotState() const = 0;
   virtual Status RestoreState(const Body& snapshot) = 0;
+
+  // Writes the SnapshotState() image straight into `sink`: calls
+  // sink.Begin(n) exactly once with the image's exact size n, then writes
+  // exactly n bytes into the returned writer. Every snapshot the server
+  // takes goes through this call. The default serializes through
+  // SnapshotState() once and copies the bytes, so a wrapper that overrides
+  // only SnapshotState() stays correct. An app that overrides SnapshotTo
+  // implements SnapshotState() as SnapshotBody(*this); it must not leave
+  // SnapshotTo on the default as well, or the two recurse.
+  virtual void SnapshotTo(SnapshotSink& sink) const;
 
   // --- Shard-move range handoff (src/shard, docs/sharding.md). A live shard
   // move freezes a slot range at the source group, captures exactly that
@@ -65,6 +91,32 @@ class StateMachine {
     return FailedPreconditionError("state machine does not support shard moves");
   }
 };
+
+// Runs app.SnapshotTo with a sink whose Begin(n) is `begin(n)` (which
+// returns the writer), and checks that the app wrote exactly the n bytes it
+// announced.
+template <typename BeginFn>
+void WriteSnapshot(const StateMachine& app, BeginFn&& begin) {
+  struct Sink final : SnapshotSink {
+    explicit Sink(BeginFn& fn) : begin(fn) {}
+    BufferWriter* Begin(size_t image_bytes) override {
+      HC_CHECK(writer == nullptr);  // once per image
+      writer = begin(image_bytes);
+      end = writer->size() + image_bytes;
+      return writer;
+    }
+    BeginFn& begin;
+    BufferWriter* writer = nullptr;
+    size_t end = 0;
+  };
+  Sink sink(begin);
+  app.SnapshotTo(sink);
+  HC_CHECK(sink.writer != nullptr);
+  HC_CHECK_EQ(sink.writer->size(), sink.end);
+}
+
+// The SnapshotTo image in a heap Body of exactly its size.
+Body SnapshotBody(const StateMachine& app);
 
 }  // namespace hovercraft
 

@@ -50,11 +50,10 @@ ExecResult SyntheticService::Execute(const RpcRequest& request) {
   return ExecResult{op.value().service_time, ReplyOfSize(op.value().reply_bytes)};
 }
 
-Body SyntheticService::SnapshotState() const {
-  BufferWriter w(16);
-  w.PutU64(applied_);
-  w.PutU64(digest_);
-  return MakeBody(w.TakeBytes());
+void SyntheticService::SnapshotTo(SnapshotSink& sink) const {
+  BufferWriter* w = sink.Begin(8 + 8);
+  w->PutU64(applied_);
+  w->PutU64(digest_);
 }
 
 Status SyntheticService::RestoreState(const Body& snapshot) {

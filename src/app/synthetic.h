@@ -36,8 +36,9 @@ class SyntheticService final : public StateMachine {
   ExecResult Execute(const RpcRequest& request) override;
   uint64_t Digest() const override { return digest_; }
   uint64_t ApplyCount() const override { return applied_; }
-  Body SnapshotState() const override;
+  Body SnapshotState() const override { return SnapshotBody(*this); }
   Status RestoreState(const Body& snapshot) override;
+  void SnapshotTo(SnapshotSink& sink) const override;
 
  private:
   Body ReplyOfSize(int32_t bytes);

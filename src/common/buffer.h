@@ -6,9 +6,11 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -19,8 +21,17 @@ class BufferWriter {
  public:
   BufferWriter() = default;
   explicit BufferWriter(size_t reserve) { bytes_.reserve(reserve); }
+  // Writes into `storage`'s allocation from the start: its contents are
+  // discarded, its capacity is kept and grown to `reserve`.
+  BufferWriter(std::vector<uint8_t> storage, size_t reserve) : bytes_(std::move(storage)) {
+    bytes_.clear();
+    bytes_.reserve(reserve);
+  }
 
-  void PutU8(uint8_t v) { bytes_.push_back(v); }
+  void PutU8(uint8_t v) {
+    bytes_.push_back(v);
+    Progress();
+  }
   void PutU16(uint16_t v) { PutLittleEndian(v); }
   void PutU32(uint32_t v) { PutLittleEndian(v); }
   void PutU64(uint64_t v) { PutLittleEndian(v); }
@@ -28,6 +39,7 @@ class BufferWriter {
 
   void PutBytes(std::span<const uint8_t> data) {
     bytes_.insert(bytes_.end(), data.begin(), data.end());
+    Progress();
   }
 
   // Length-prefixed (u32) string.
@@ -35,7 +47,20 @@ class BufferWriter {
     PutU32(static_cast<uint32_t>(s.size()));
     const auto* p = reinterpret_cast<const uint8_t*>(s.data());
     bytes_.insert(bytes_.end(), p, p + s.size());
+    Progress();
   }
+
+  // Optional progress hook: after a Put* leaves size() at or past `at`,
+  // `fn(ctx, *this)` runs and returns the next threshold. The snapshot
+  // writer installs one to checksum the image while it is still in cache;
+  // every other writer pays one compare per Put*.
+  using ProgressFn = size_t (*)(void* ctx, const BufferWriter& w);
+  void SetProgressHook(size_t at, ProgressFn fn, void* ctx) {
+    hook_at_ = at;
+    hook_ = fn;
+    hook_ctx_ = ctx;
+  }
+  void ClearProgressHook() { SetProgressHook(kNoHook, nullptr, nullptr); }
 
   // Overwrites bytes already written at `pos` (length/checksum fields that
   // are only known once the rest of a record is in place).
@@ -50,11 +75,20 @@ class BufferWriter {
   std::vector<uint8_t> TakeBytes() { return std::move(bytes_); }
 
  private:
+  static constexpr size_t kNoHook = std::numeric_limits<size_t>::max();
+
+  void Progress() {
+    if (bytes_.size() >= hook_at_) [[unlikely]] {
+      hook_at_ = hook_(hook_ctx_, *this);
+    }
+  }
+
   template <typename T>
   void PutLittleEndian(T v) {
     for (size_t i = 0; i < sizeof(T); ++i) {
       bytes_.push_back(static_cast<uint8_t>(v >> (8 * i)));
     }
+    Progress();
   }
 
   template <typename T>
@@ -65,6 +99,9 @@ class BufferWriter {
   }
 
   std::vector<uint8_t> bytes_;
+  size_t hook_at_ = kNoHook;
+  ProgressFn hook_ = nullptr;
+  void* hook_ctx_ = nullptr;
 };
 
 class BufferReader {

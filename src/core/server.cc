@@ -47,7 +47,7 @@ ReplicatedServer::ReplicatedServer(Simulator* sim, const CostModel& costs,
     storage_->set_node(obs_node_id());
     raft_ = std::make_unique<RaftNode>(sim, seed, config_.raft, this);
     raft_->set_storage(storage_.get());
-    genesis_app_state_ = app_->SnapshotState();
+    genesis_app_state_ = SnapshotBody(*app_);
   }
 }
 
@@ -138,24 +138,22 @@ void ReplicatedServer::Restart() {
 void ReplicatedServer::PersistLocalSnapshot() {
   // Blob layout: [config prefix][sessions][shard][app bytes] — the config
   // prefix, then the same body CaptureSnapshot() would build, written in one
-  // pass straight into the snapshot file buffer. The membership config rides
-  // along so a recovered node whose whole log was compacted away still knows
-  // who its peers are.
+  // pass straight into the snapshot file's own buffer once the app has named
+  // its image size. The membership config rides along so a recovered node
+  // whose whole log was compacted away still knows who its peers are.
   const LogIndex idx = apply_cursor_;
   const Term term = idx == 0 ? 0 : raft_->log().TermAt(idx);
   auto [config_idx, config] = raft_->ConfigCoveringIndex(idx);
-  const Body app_state = app_->SnapshotState();
-  const size_t app_bytes = app_state != nullptr ? app_state->size() : 0;
-  BufferWriter* w = storage_->BeginSnapshot(
-      idx, term,
-      ConfigPrefixSize(config.get()) + sessions_.SerializedSize() + shard_.SerializedSize() +
-          app_bytes);
-  PutConfigPrefix(config.get(), config_idx, w);
-  sessions_.Serialize(w);
-  shard_.Serialize(w);
-  if (app_state != nullptr) {
-    w->PutBytes(*app_state);
-  }
+  WriteSnapshot(*app_, [&](size_t app_bytes) {
+    BufferWriter* w = storage_->BeginSnapshot(
+        idx, term,
+        ConfigPrefixSize(config.get()) + sessions_.SerializedSize() + shard_.SerializedSize() +
+            app_bytes);
+    PutConfigPrefix(config.get(), config_idx, w);
+    sessions_.Serialize(w);
+    shard_.Serialize(w);
+    return w;
+  });
   storage_->FinishSnapshot();
   local_snapshot_idx_ = idx;
 }
@@ -981,12 +979,12 @@ RaftNode::Env::SnapshotCapture ReplicatedServer::CaptureSnapshot() {
   // Layout: [session table][shard serve state][application state bytes].
   SnapshotCapture capture;
   BufferWriter w;
-  sessions_.Serialize(&w);
-  shard_.Serialize(&w);
-  const Body app_state = app_->SnapshotState();
-  if (app_state != nullptr) {
-    w.PutBytes(*app_state);
-  }
+  WriteSnapshot(*app_, [&](size_t app_bytes) {
+    w = BufferWriter(sessions_.SerializedSize() + shard_.SerializedSize() + app_bytes);
+    sessions_.Serialize(&w);
+    shard_.Serialize(&w);
+    return &w;
+  });
   capture.state = MakeBody(w.TakeBytes());
   capture.last_included = apply_cursor_;
   return capture;

@@ -15,6 +15,9 @@ constexpr size_t kMaxStoredViolations = 256;
 // Violations echoed to stderr (the first one also dumps the recorder).
 constexpr size_t kMaxLoggedViolations = 8;
 
+// Largest jump past the dense commit table that still grows it (8 MiB).
+constexpr uint64_t kMaxDenseCommitGap = uint64_t{1} << 20;
+
 }  // namespace
 
 const char* WatchdogCodeName(WatchdogCode code) {
@@ -41,6 +44,21 @@ const char* WatchdogCodeName(WatchdogCode code) {
 
 Watchdog::NodeState& Watchdog::State(NodeId node) {
   return nodes_[static_cast<int32_t>(node)];
+}
+
+uint64_t& Watchdog::CommittedTermSlot(uint64_t index) {
+  if (index >= committed_term_.size()) {
+    if (index - committed_term_.size() >= kMaxDenseCommitGap) {
+      return far_committed_term_[index];
+    }
+    committed_term_.resize(index + 1);  // geometric capacity growth
+    while (!far_committed_term_.empty() &&
+           far_committed_term_.begin()->first < committed_term_.size()) {
+      committed_term_[far_committed_term_.begin()->first] = far_committed_term_.begin()->second;
+      far_committed_term_.erase(far_committed_term_.begin());
+    }
+  }
+  return committed_term_[index];
 }
 
 void Watchdog::Report(WatchdogCode code, const FrEvent& event, std::string detail) {
@@ -100,11 +118,14 @@ void Watchdog::OnFrEvent(const FrEvent& event) {
       st.commit = event.a;
       st.has_commit = true;
       ++checks_;
-      auto [it, inserted] = committed_term_.emplace(event.a, event.b);
-      if (!inserted && it->second != event.b) {
+      uint64_t& first_term_plus_1 = CommittedTermSlot(event.a);
+      if (first_term_plus_1 == 0) {
+        first_term_plus_1 = event.b + 1;
+      } else if (first_term_plus_1 != event.b + 1) {
         Report(WatchdogCode::kLogDivergence, event,
                "index " + std::to_string(event.a) + " committed with term " +
-                   std::to_string(it->second) + " and term " + std::to_string(event.b));
+                   std::to_string(first_term_plus_1 - 1) + " and term " +
+                   std::to_string(event.b));
       }
       if (event.a > max_commit_) {
         max_commit_ = event.a;

@@ -114,9 +114,16 @@ class Watchdog : public FlightRecorder::Sink {
   std::unordered_map<int32_t, NodeState> nodes_;
 
   // --- log matching at commit ---
-  // First committed entry term seen per index; a later commit of the same
-  // index with a different term is divergence at commit.
-  std::unordered_map<uint64_t, uint64_t> committed_term_;
+  // First committed entry term seen per index, stored as term + 1 so that 0
+  // means unseen; a later commit of the same index with a different term is
+  // divergence at commit. Commit indices arrive one by one, so the table is
+  // dense and indexed directly. An index far beyond it (the chaos runner's
+  // synthetic violations use index 1e9) goes to the sparse map instead, so
+  // one stray event cannot allocate gigabytes; the map only ever holds
+  // indices at or above committed_term_.size().
+  uint64_t& CommittedTermSlot(uint64_t index);
+  std::vector<uint64_t> committed_term_;
+  std::map<uint64_t, uint64_t> far_committed_term_;
   // Cluster-wide commit watermark (never reset: committed data must outlive
   // node recoveries, which is exactly what the checks above enforce).
   uint64_t max_commit_ = 0;

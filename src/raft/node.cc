@@ -1459,26 +1459,30 @@ void RaftNode::OnAppendEntries(const AppendEntriesReq& req, bool via_aggregator)
       // acknowledged entry. The fence drops it when the process crashed (or
       // the term moved on) in the persist window — a killed node never acks
       // from the grave; the leader simply retransmits after the restart.
+      // The reply carries the term and the acknowledged tail (rep->term(),
+      // rep->match()), so the callback reads them from it and its capture
+      // stays inside the simulator's inline callback buffer.
       const uint64_t epoch = restart_epoch_;
-      const Term term = current_term_;
-      const LogIndex tail = outcome.match;
-      const Term tail_term = log_.TermAt(tail);
-      const bool inline_done = storage_->Sync(
-          [this, rep, via_aggregator, reply_leader, epoch, term, tail, tail_term]() {
-            if (halted_ || epoch != restart_epoch_ || term != current_term_) {
-              ++stats_.acks_dropped_crash;
-              return;
-            }
-            if (tail > durable_index_ && tail <= log_.last_index() &&
-                (tail < log_.first_index() || log_.TermAt(tail) == tail_term)) {
-              durable_index_ = tail;
-            }
-            if (via_aggregator) {
-              env_->SendToAggregator(rep);
-            } else {
-              env_->SendToPeer(reply_leader, rep);
-            }
-          });
+      const Term tail_term = log_.TermAt(outcome.match);
+      auto on_durable = [this, rep, via_aggregator, reply_leader, epoch, tail_term]() {
+        const LogIndex tail = rep->match();
+        if (halted_ || epoch != restart_epoch_ || rep->term() != current_term_) {
+          ++stats_.acks_dropped_crash;
+          return;
+        }
+        if (tail > durable_index_ && tail <= log_.last_index() &&
+            (tail < log_.first_index() || log_.TermAt(tail) == tail_term)) {
+          durable_index_ = tail;
+        }
+        if (via_aggregator) {
+          env_->SendToAggregator(rep);
+        } else {
+          env_->SendToPeer(reply_leader, rep);
+        }
+      };
+      static_assert(sizeof(on_durable) <= Simulator::kInlineCallbackBytes,
+                    "the follower-ack barrier callback must not heap-allocate");
+      const bool inline_done = storage_->Sync(std::move(on_durable));
       if (!inline_done) {
         ++stats_.acks_deferred_persist;
       }

@@ -33,7 +33,12 @@ size_t SimDisk::Append(const std::string& file, const uint8_t* data, size_t len)
   return offset;
 }
 
+void SimDisk::CheckNotRewriting(const std::string& file) const {
+  HC_CHECK(rewriting_.empty() || file != rewriting_);
+}
+
 void SimDisk::Truncate(const std::string& file, size_t size) {
+  CheckNotRewriting(file);
   auto it = files_.find(file);
   if (it == files_.end()) {
     return;
@@ -47,13 +52,31 @@ void SimDisk::Truncate(const std::string& file, size_t size) {
 
 void SimDisk::WriteAndSync(const std::string& file, std::vector<uint8_t> bytes) {
   File& f = files_[file];
+  if (file == rewriting_) {
+    HC_CHECK(f.data.empty());  // nothing was appended to the fenced file
+    rewriting_.clear();
+  }
   stats_.bytes_written += bytes.size();
   ++stats_.appends;
   f.data = std::move(bytes);
   f.synced = f.data.size();
 }
 
-void SimDisk::Delete(const std::string& file) { files_.erase(file); }
+std::vector<uint8_t> SimDisk::BeginRewrite(const std::string& file) {
+  HC_CHECK(rewriting_.empty());  // one rewrite at a time
+  File& f = files_[file];
+  std::vector<uint8_t> buffer = std::move(f.data);
+  f.data.clear();  // a moved-from vector is valid but unspecified
+  f.synced = 0;
+  rewriting_ = file;
+  buffer.clear();
+  return buffer;
+}
+
+void SimDisk::Delete(const std::string& file) {
+  CheckNotRewriting(file);
+  files_.erase(file);
+}
 
 bool SimDisk::Sync(SyncCallback cb, bool coalesce) {
   const TimeNs latency = sync_latency_ + stall_;
@@ -157,6 +180,7 @@ void SimDisk::MarkAllSynced() {
 }
 
 void SimDisk::Crash() {
+  HC_CHECK(rewriting_.empty());
   ++stats_.crashes;
   const bool torn = next_crash_torn_;
   next_crash_torn_ = false;
@@ -184,6 +208,7 @@ void SimDisk::Crash() {
 }
 
 bool SimDisk::FlipByte(const std::string& file, size_t offset) {
+  CheckNotRewriting(file);
   auto it = files_.find(file);
   if (it == files_.end() || offset >= it->second.data.size()) {
     return false;
@@ -195,6 +220,7 @@ bool SimDisk::FlipByte(const std::string& file, size_t offset) {
 
 const std::vector<uint8_t>& SimDisk::Read(const std::string& file) const {
   static const std::vector<uint8_t> kEmpty;
+  CheckNotRewriting(file);
   auto it = files_.find(file);
   return it == files_.end() ? kEmpty : it->second.data;
 }
@@ -205,6 +231,7 @@ size_t SimDisk::Size(const std::string& file) const {
 }
 
 size_t SimDisk::SyncedSize(const std::string& file) const {
+  CheckNotRewriting(file);
   auto it = files_.find(file);
   return it == files_.end() ? 0 : it->second.synced;
 }

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <random>
 #include <string>
@@ -44,7 +43,9 @@ struct SimDiskStats {
 
 class SimDisk {
  public:
-  using SyncCallback = std::function<void()>;
+  // The simulator's inline callable: a barrier's completion callback is
+  // stored without a heap allocation when its capture fits in 56 bytes.
+  using SyncCallback = Simulator::Callback;
 
   SimDisk(Simulator* sim, uint64_t seed, TimeNs sync_latency)
       : sim_(sim), rng_(seed), sync_latency_(sync_latency) {}
@@ -57,8 +58,17 @@ class SimDisk {
   // Truncates `file` to `size` bytes (clamping the durable watermark too).
   void Truncate(const std::string& file, size_t size);
   // Atomic replace-and-sync, the simulated write-to-temp + rename idiom used
-  // for snapshot files: after the call the whole content is durable.
+  // for snapshot files: after the call the whole content is durable. Ends a
+  // rewrite of `file` opened by BeginRewrite.
   void WriteAndSync(const std::string& file, std::vector<uint8_t> bytes);
+  // Starts an in-place rewrite: returns `file`'s buffer, emptied but with its
+  // capacity, for the caller to fill and hand back through WriteAndSync. The
+  // old content is gone from here on, so the replace stays atomic only
+  // because nothing sees the file in between: until WriteAndSync, every
+  // access to it (and a crash) fails an HC_CHECK. Append and Size, the calls
+  // every WAL record makes, carry no check; WriteAndSync checks instead that
+  // nothing was appended.
+  std::vector<uint8_t> BeginRewrite(const std::string& file);
   void Delete(const std::string& file);
 
   // --- durability -----------------------------------------------------------
@@ -87,7 +97,10 @@ class SimDisk {
   TimeNs stall() const { return stall_; }
 
   // --- reads ----------------------------------------------------------------
-  bool Exists(const std::string& file) const { return files_.count(file) != 0; }
+  bool Exists(const std::string& file) const {
+    CheckNotRewriting(file);
+    return files_.count(file) != 0;
+  }
   const std::vector<uint8_t>& Read(const std::string& file) const;
   size_t Size(const std::string& file) const;
   size_t SyncedSize(const std::string& file) const;
@@ -115,6 +128,9 @@ class SimDisk {
     std::vector<SyncCallback> callbacks;
   };
 
+  // Fails an HC_CHECK when `file` is being rewritten (BeginRewrite).
+  void CheckNotRewriting(const std::string& file) const;
+
   // Request-to-completion barrier latency (queueing included) into the
   // per-node "storage.fsync_ns" histogram; no-op without observability.
   void RecordFsyncLatency(TimeNs latency);
@@ -133,6 +149,7 @@ class SimDisk {
   std::string fsync_metric_;  // cached histogram name, built on first record
 
   std::map<std::string, File> files_;
+  std::string rewriting_;  // the file between BeginRewrite and WriteAndSync
   std::deque<FlushOp> queue_;
   bool flush_running_ = false;
   EventId flush_event_ = kInvalidEvent;

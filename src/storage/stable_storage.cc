@@ -17,7 +17,9 @@ namespace {
 constexpr size_t kRecordHeaderBytes = 4 + 1 + 8;  // len, type, crc
 constexpr char kSnapshotFile[] = "snapshot";
 constexpr size_t kSnapshotHeaderBytes = 8 + 8 + 8 + 4;  // checksum, idx, term, len
-constexpr size_t kSnapshotLenOffset = 8 + 8 + 8;
+// Checksum step while a snapshot is written: small enough that the folded
+// bytes are still in L2, large enough that the hook call is noise.
+constexpr size_t kSnapshotFoldBytes = 64 * 1024;
 
 uint64_t RecordCrc(uint8_t type, std::span<const uint8_t> payload) {
   const uint8_t t[1] = {type};
@@ -33,36 +35,82 @@ uint64_t LoadLe64(const uint8_t* p) {
   return w;
 }
 
+// The snapshot checksum's step. The rotation feeds each multiply's high bits
+// back into the low bits the next multiply spreads upward. The FNV prime is
+// odd, so every step is a bijection of the absorbed word.
+uint64_t ChecksumMix(uint64_t h, uint64_t v) { return std::rotl((h ^ v) * 0x100000001B3ull, 31); }
+
 }  // namespace
 
-uint64_t SnapshotChecksum(std::span<const uint8_t> data) {
-  constexpr uint64_t kPrime = 0x100000001B3ull;  // odd: multiplying is a bijection
-  constexpr uint64_t kBasis = 0xCBF29CE484222325ull;
-  // The rotation feeds each multiply's high bits back into the low bits the
-  // next multiply spreads upward; distinct seeds keep the lanes apart.
-  auto mix = [](uint64_t h, uint64_t v) { return std::rotl((h ^ v) * kPrime, 31); };
-  uint64_t lane[4] = {kBasis, kBasis + 0x9E3779B97F4A7C15ull, kBasis + 0x3C6EF372FE94F82Aull,
-                      kBasis + 0xDAA66D2C7DDF743Full};
-  const uint8_t* p = data.data();
-  const size_t n = data.size();
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    lane[0] = mix(lane[0], LoadLe64(p + i));
-    lane[1] = mix(lane[1], LoadLe64(p + i + 8));
-    lane[2] = mix(lane[2], LoadLe64(p + i + 16));
-    lane[3] = mix(lane[3], LoadLe64(p + i + 24));
+void SnapshotChecksumStream::AbsorbBlocks(const uint8_t* p, size_t blocks) {
+  // Lanes in locals: stores to lane_ could alias the bytes being read, which
+  // would keep the four chains in memory instead of registers.
+  uint64_t l0 = lane_[0];
+  uint64_t l1 = lane_[1];
+  uint64_t l2 = lane_[2];
+  uint64_t l3 = lane_[3];
+  for (size_t b = 0; b < blocks; ++b, p += kBlockBytes) {
+    l0 = ChecksumMix(l0, LoadLe64(p));
+    l1 = ChecksumMix(l1, LoadLe64(p + 8));
+    l2 = ChecksumMix(l2, LoadLe64(p + 16));
+    l3 = ChecksumMix(l3, LoadLe64(p + 24));
   }
-  for (size_t k = 0; i + 8 <= n; i += 8, ++k) {
-    lane[k] = mix(lane[k], LoadLe64(p + i));
+  lane_[0] = l0;
+  lane_[1] = l1;
+  lane_[2] = l2;
+  lane_[3] = l3;
+}
+
+void SnapshotChecksumStream::Update(std::span<const uint8_t> data) {
+  length_ += data.size();
+  const uint8_t* p = data.data();
+  size_t n = data.size();
+  if (pending_bytes_ > 0) {
+    const size_t take = std::min(n, kBlockBytes - pending_bytes_);
+    if (take > 0) {
+      std::memcpy(pending_ + pending_bytes_, p, take);
+    }
+    pending_bytes_ += take;
+    p += take;
+    n -= take;
+    if (pending_bytes_ < kBlockBytes) {
+      return;
+    }
+    AbsorbBlocks(pending_, 1);
+    pending_bytes_ = 0;
+  }
+  const size_t blocks = n / kBlockBytes;
+  AbsorbBlocks(p, blocks);
+  p += blocks * kBlockBytes;
+  n -= blocks * kBlockBytes;
+  if (n > 0) {
+    std::memcpy(pending_, p, n);
+  }
+  pending_bytes_ = n;
+}
+
+uint64_t SnapshotChecksumStream::Finish() const {
+  // Leftover whole words go into lanes 0-2, then the lanes fold into one
+  // value, then the tail bytes, then the length.
+  uint64_t lane[4] = {lane_[0], lane_[1], lane_[2], lane_[3]};
+  size_t i = 0;
+  for (size_t k = 0; i + 8 <= pending_bytes_; i += 8, ++k) {
+    lane[k] = ChecksumMix(lane[k], LoadLe64(pending_ + i));
   }
   uint64_t h = kBasis;
   for (uint64_t l : lane) {
-    h = mix(h, l);
+    h = ChecksumMix(h, l);
   }
-  for (; i < n; ++i) {
-    h = mix(h, p[i]);
+  for (; i < pending_bytes_; ++i) {
+    h = ChecksumMix(h, pending_[i]);
   }
-  return mix(h, n);
+  return ChecksumMix(h, length_);
+}
+
+uint64_t SnapshotChecksum(std::span<const uint8_t> data) {
+  SnapshotChecksumStream stream;
+  stream.Update(data);
+  return stream.Finish();
 }
 
 void StableStorage::AddSegment(uint64_t seq) {
@@ -222,25 +270,38 @@ void StableStorage::SaveSnapshot(LogIndex idx, Term term, std::vector<uint8_t> p
 
 BufferWriter* StableStorage::BeginSnapshot(LogIndex idx, Term term, size_t payload_bytes) {
   HC_CHECK_EQ(snapshot_.size(), 0u);  // one snapshot write at a time
-  snapshot_ = BufferWriter(kSnapshotHeaderBytes + payload_bytes);
+  HC_CHECK_LE(payload_bytes, size_t{UINT32_MAX});
+  snapshot_ = BufferWriter(disk_->BeginRewrite(kSnapshotFile), kSnapshotHeaderBytes + payload_bytes);
   snapshot_payload_bytes_ = payload_bytes;
   snapshot_.PutU64(0);  // checksum, patched by FinishSnapshot
   snapshot_.PutU64(idx);
   snapshot_.PutU64(static_cast<uint64_t>(term));
-  snapshot_.PutU32(0);  // length, patched by FinishSnapshot
+  snapshot_.PutU32(static_cast<uint32_t>(payload_bytes));
+  // The checksum covers everything after its own 8 bytes.
+  snapshot_checksum_ = SnapshotChecksumStream();
+  snapshot_folded_ = 8;
+  snapshot_.SetProgressHook(snapshot_folded_ + kSnapshotFoldBytes, &StableStorage::FoldSnapshot,
+                            this);
   return &snapshot_;
 }
 
+size_t StableStorage::FoldSnapshot(void* self, const BufferWriter& w) {
+  auto* s = static_cast<StableStorage*>(self);
+  s->snapshot_checksum_.Update(std::span<const uint8_t>(w.bytes()).subspan(s->snapshot_folded_));
+  s->snapshot_folded_ = w.size();
+  return w.size() + kSnapshotFoldBytes;
+}
+
 void StableStorage::FinishSnapshot() {
-  const size_t len = snapshot_.size() - kSnapshotHeaderBytes;
-  HC_CHECK_EQ(len, snapshot_payload_bytes_);  // the reservation was exact
-  snapshot_.PatchU32(kSnapshotLenOffset, static_cast<uint32_t>(len));
-  snapshot_.PatchU64(0, SnapshotChecksum(std::span<const uint8_t>(snapshot_.bytes()).subspan(8)));
+  HC_CHECK_EQ(snapshot_.size() - kSnapshotHeaderBytes, snapshot_payload_bytes_);  // exact
+  snapshot_.ClearProgressHook();
+  FoldSnapshot(this, snapshot_);
+  snapshot_.PatchU64(0, snapshot_checksum_.Finish());
   disk_->WriteAndSync(kSnapshotFile, snapshot_.TakeBytes());
   ++stats_.snapshots_saved;
 }
 
-bool StableStorage::Sync(std::function<void()> cb) {
+bool StableStorage::Sync(SimDisk::SyncCallback cb) {
   const bool coalesce = policy_ != FsyncPolicy::kSyncPerAppend;
   return disk_->Sync(std::move(cb), coalesce);
 }

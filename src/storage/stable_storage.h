@@ -37,7 +37,6 @@
 #include <concepts>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -55,8 +54,29 @@ namespace hovercraft {
 // the word it absorbs, so any single-byte or single-word change is always
 // detected. Four chains of one multiply per 8 bytes replace FNV-1a's single
 // chain of one multiply per byte (docs/durability.md). WAL records keep
-// their FNV-1a CRC.
+// their FNV-1a CRC. Equal to SnapshotChecksumStream fed `data` in one piece.
 uint64_t SnapshotChecksum(std::span<const uint8_t> data);
+
+// SnapshotChecksum over data that arrives in pieces of any length: Update
+// absorbs every whole 32-byte block and keeps the rest for the next piece
+// or for Finish, so the value is the same however the data was split.
+class SnapshotChecksumStream {
+ public:
+  void Update(std::span<const uint8_t> data);
+  uint64_t Finish() const;
+
+ private:
+  static constexpr size_t kBlockBytes = 32;  // one 8-byte word per lane
+  static constexpr uint64_t kBasis = 0xCBF29CE484222325ull;  // FNV-1a offset basis
+  void AbsorbBlocks(const uint8_t* p, size_t blocks);
+
+  // Distinct seeds keep the lanes apart.
+  uint64_t lane_[4] = {kBasis, kBasis + 0x9E3779B97F4A7C15ull, kBasis + 0x3C6EF372FE94F82Aull,
+                       kBasis + 0xDAA66D2C7DDF743Full};
+  uint8_t pending_[kBlockBytes] = {};
+  size_t pending_bytes_ = 0;
+  uint64_t length_ = 0;
+};
 
 struct StorageStats {
   uint64_t entry_records = 0;
@@ -135,17 +155,20 @@ class StableStorage {
   // Atomically replaces the local snapshot (synced inline). A thin wrapper
   // over BeginSnapshot/FinishSnapshot.
   void SaveSnapshot(LogIndex idx, Term term, std::vector<uint8_t> payload);
-  // Single-pass snapshot write: BeginSnapshot starts the file image in a
-  // buffer reserved for the header plus exactly `payload_bytes`; the caller
-  // appends that many payload bytes; FinishSnapshot patches the length and
-  // checksum in place and moves the buffer to the disk.
+  // Single-pass snapshot write: BeginSnapshot takes the current snapshot
+  // file's buffer from the disk (SimDisk::BeginRewrite fences the file until
+  // FinishSnapshot hands it back), writes the header with the real length
+  // and returns a writer reserved for exactly `payload_bytes` more; the
+  // caller appends that many bytes, which are checksummed in 64 KiB steps
+  // as they land; FinishSnapshot folds the rest, patches the checksum and
+  // returns the buffer to the disk.
   BufferWriter* BeginSnapshot(LogIndex idx, Term term, size_t payload_bytes);
   void FinishSnapshot();
 
   // Durability barrier under the configured policy. Returns true when it
   // completed inline (cb already ran); false when cb runs later, unless the
   // process crashes first — a crash drops pending barriers entirely.
-  bool Sync(std::function<void()> cb);
+  bool Sync(SimDisk::SyncCallback cb);
 
   // --- fault hooks ----------------------------------------------------------
   void Crash() { disk_->Crash(); }
@@ -192,6 +215,9 @@ class StableStorage {
   void WriteHardStateRecord();
   void WriteCompactRecord();
   void WriteBaseline();
+  // Progress hook of snapshot_: checksums the bytes written since the last
+  // fold and asks to be called again one fold step later.
+  static size_t FoldSnapshot(void* self, const BufferWriter& w);
 
   void NoteEntryLocation(LogIndex idx, uint64_t seg_seq, size_t offset);
   void ForgetLocationsFrom(LogIndex from);
@@ -212,6 +238,8 @@ class StableStorage {
   BufferWriter record_;  // reused for every record
   BufferWriter snapshot_;  // the snapshot file image between Begin and Finish
   size_t snapshot_payload_bytes_ = 0;
+  SnapshotChecksumStream snapshot_checksum_;
+  size_t snapshot_folded_ = 0;  // bytes of snapshot_ already in the checksum
 
   // entry_locations_[i] locates index first_location_ + i; corruption
   // targeting only. Pruned by truncation and compaction.

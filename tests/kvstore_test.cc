@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <random>
 #include <string>
 #include <vector>
 
 #include "src/app/kvstore/command.h"
 #include "src/app/kvstore/service.h"
 #include "src/app/kvstore/store.h"
+#include "src/r2p2/shard.h"
 
 namespace hovercraft {
 namespace {
@@ -385,6 +387,75 @@ TEST(KvStoreExtTest, SetsInDigestAndSnapshot) {
   ASSERT_TRUE(c.DeserializeFrom(r).ok());
   EXPECT_EQ(c.ContentDigest(), a.ContentDigest());
   EXPECT_TRUE(c.Sismember("s", "m1").value());
+}
+
+// One random mutator call on `store`: a small key pool shared by all value
+// types, so keys are replaced, deleted, popped empty and hit with the wrong
+// type; values are sometimes decimal so Incr succeeds on existing keys.
+void RandomMutation(KvStore& store, std::mt19937_64& rng) {
+  const std::string key = "k" + std::to_string(rng() % 20);
+  const std::string field = "f" + std::to_string(rng() % 4);
+  const size_t len = rng() % 50;
+  const auto letter = static_cast<char>('a' + rng() % 26);
+  const std::string value = rng() % 4 == 0 ? std::to_string(rng() % 1000) : std::string(len, letter);
+  switch (rng() % 11) {
+    case 0: store.Set(key, value); break;
+    case 1: store.Del(key); break;
+    case 2: (void)store.Incr(key); break;
+    case 3: (void)store.Append(key, value); break;
+    case 4: (void)store.Setnx(key, value); break;
+    case 5: (void)store.Hset(key, field, value); break;
+    case 6: (void)store.Hdel(key, field); break;
+    case 7: (void)store.Rpush(key, value); break;
+    case 8: (void)store.Lpop(key); break;
+    case 9: (void)store.Sadd(key, value.substr(0, 2)); break;
+    default: (void)store.Srem(key, value.substr(0, 2)); break;
+  }
+}
+
+size_t SerializedLength(const KvStore& store) {
+  BufferWriter w;
+  store.SerializeTo(w);
+  return w.size();
+}
+
+TEST(KvStoreExtTest, SerializedSizeTracksEveryMutation) {
+  // The running counter behind SerializedSize() must equal the SerializeTo
+  // length after every step of a seeded mix of every mutator plus the bulk
+  // operations: DeserializeFrom, MergeFrom, EraseIf and KvService::DropRange.
+  std::mt19937_64 rng(1403);
+  KvService svc;
+  KvStore& store = svc.store();
+  KvStore other;
+  ASSERT_EQ(store.SerializedSize(), SerializedLength(store));
+  for (int step = 0; step < 20000; ++step) {
+    const uint64_t pick = rng() % 100;
+    if (pick < 85) {
+      RandomMutation(store, rng);
+    } else if (pick < 95) {
+      RandomMutation(other, rng);
+      ASSERT_EQ(other.SerializedSize(), SerializedLength(other)) << "step " << step;
+    } else if (pick < 96) {
+      BufferWriter w;
+      other.SerializeTo(w);
+      BufferReader r(w.bytes());
+      ASSERT_TRUE(store.DeserializeFrom(r).ok());
+    } else if (pick < 97) {
+      const uint64_t parity = rng() % 2;
+      BufferWriter w;
+      other.SerializePartTo(w, [parity](std::string_view key) { return key.size() % 2 == parity; });
+      BufferReader r(w.bytes());
+      ASSERT_TRUE(store.MergeFrom(r).ok());
+    } else if (pick < 98) {
+      const char last = static_cast<char>('0' + rng() % 10);
+      store.EraseIf([last](std::string_view key) { return key.back() == last; });
+    } else {
+      const uint32_t lo = static_cast<uint32_t>(rng() % kShardSlots);
+      const uint32_t hi = lo + static_cast<uint32_t>(rng() % (kShardSlots - lo));
+      ASSERT_TRUE(svc.DropRange(lo, hi).ok());
+    }
+    ASSERT_EQ(store.SerializedSize(), SerializedLength(store)) << "step " << step;
+  }
 }
 
 TEST(KvCommandExtTest, NewOpcodesRoundTrip) {

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "src/app/kvstore/service.h"
+#include "src/app/lock_service.h"
 #include "src/app/synthetic.h"
 #include "src/common/buffer.h"
 #include "src/core/cluster.h"
@@ -79,6 +82,167 @@ TEST(SnapshotTest, KvServiceRejectsGarbage) {
   KvService svc;
   EXPECT_FALSE(svc.RestoreState(nullptr).ok());
   EXPECT_FALSE(svc.RestoreState(MakeBody({1, 2, 3})).ok());
+}
+
+// ---------------------------------------------------------------------------
+// SnapshotTo: the single-pass image every server snapshot is written from.
+// It must be byte-equal to SnapshotState() and exactly as long as the size
+// the app announces (WriteSnapshot checks that).
+// ---------------------------------------------------------------------------
+
+// Writes `app`'s image behind a 5-byte prefix, the way the server writes it
+// behind its own snapshot prefix, and returns the image bytes alone.
+std::vector<uint8_t> ImageBehindPrefix(const StateMachine& app) {
+  constexpr size_t kPrefix = 5;
+  BufferWriter w;
+  int begins = 0;
+  WriteSnapshot(app, [&](size_t image_bytes) {
+    ++begins;
+    w = BufferWriter(kPrefix + image_bytes);
+    for (size_t i = 0; i < kPrefix; ++i) {
+      w.PutU8(0xEE);
+    }
+    return &w;
+  });
+  EXPECT_EQ(begins, 1);
+  const std::vector<uint8_t> bytes = w.TakeBytes();
+  return std::vector<uint8_t>(bytes.begin() + kPrefix, bytes.end());
+}
+
+RpcRequest KvRequest(uint64_t seq, const KvCommand& cmd) {
+  return RpcRequest(RequestId{1, seq}, R2p2Policy::kReplicatedReq, EncodeKvCommand(cmd));
+}
+
+TEST(SnapshotToTest, KvServiceImageEqualsSnapshotStateAfterRandomOps) {
+  // Every mutating opcode over a small key pool, so all four value types
+  // appear, keys are deleted and popped empty, and some ops hit the wrong
+  // type. The image is checked against SnapshotState() and against the
+  // format built independently from the store, at every 25th step.
+  std::mt19937_64 rng(1401);
+  const KvOpcode kOps[] = {KvOpcode::kSet,    KvOpcode::kDel,  KvOpcode::kHset,
+                           KvOpcode::kHdel,   KvOpcode::kRpush, KvOpcode::kLpop,
+                           KvOpcode::kIncr,   KvOpcode::kAppend, KvOpcode::kSetnx,
+                           KvOpcode::kSadd,   KvOpcode::kSrem, KvOpcode::kYInsert};
+  KvService svc;
+  bool seen[4] = {};
+  for (uint64_t step = 1; step <= 2000; ++step) {
+    KvCommand cmd;
+    cmd.op = kOps[rng() % std::size(kOps)];
+    cmd.key = "k" + std::to_string(rng() % 24);
+    cmd.field = "f" + std::to_string(rng() % 4);
+    const size_t len = rng() % 40;
+    cmd.value = std::string(len, static_cast<char>('a' + rng() % 26));
+    svc.Execute(KvRequest(step, cmd));
+    seen[0] |= svc.store().Get(cmd.key).ok();
+    seen[1] |= svc.store().Hget(cmd.key, cmd.field).ok();
+    seen[2] |= svc.store().Llen(cmd.key).ok() && svc.store().Llen(cmd.key).value() > 0;
+    seen[3] |= svc.store().Scard(cmd.key).ok() && svc.store().Scard(cmd.key).value() > 0;
+    if (step % 25 != 0) {
+      continue;
+    }
+    const std::vector<uint8_t> image = ImageBehindPrefix(svc);
+    ASSERT_TRUE(svc.SnapshotState() == image) << "step " << step;
+    BufferWriter want;
+    want.PutU64(svc.ApplyCount());
+    want.PutU64(svc.Digest() ^ svc.store().ContentDigest());  // the mutation digest
+    svc.store().SerializeTo(want);
+    ASSERT_EQ(image, want.bytes()) << "step " << step;
+    KvService restored;
+    ASSERT_TRUE(restored.RestoreState(MakeBody(image)).ok());
+    EXPECT_EQ(restored.Digest(), svc.Digest());
+    EXPECT_EQ(restored.ApplyCount(), svc.ApplyCount());
+  }
+  for (bool s : seen) {
+    EXPECT_TRUE(s);
+  }
+}
+
+TEST(SnapshotToTest, LockServiceImageEqualsSnapshotState) {
+  std::mt19937_64 rng(1402);
+  LockService svc;
+  for (uint64_t step = 1; step <= 400; ++step) {
+    LockCommand cmd;
+    cmd.op = rng() % 3 == 0 ? LockOpcode::kRelease : LockOpcode::kAcquire;
+    cmd.lock = "lock/" + std::to_string(rng() % 16);
+    cmd.owner = "client-" + std::to_string(rng() % 3);
+    svc.Execute(RpcRequest(RequestId{2, step}, R2p2Policy::kReplicatedReq, EncodeLockCommand(cmd)));
+    if (step % 20 == 0) {
+      const std::vector<uint8_t> image = ImageBehindPrefix(svc);
+      ASSERT_TRUE(svc.SnapshotState() == image) << "step " << step;
+      LockService restored;
+      ASSERT_TRUE(restored.RestoreState(MakeBody(image)).ok());
+      EXPECT_EQ(restored.Digest(), svc.Digest());
+      EXPECT_EQ(restored.held_locks(), svc.held_locks());
+    }
+  }
+  // Format pin: [u64 next_token][u64 applied][u64 count] then
+  // [string lock][string owner][u64 token] per lock.
+  LockService one;
+  LockCommand acquire;
+  acquire.op = LockOpcode::kAcquire;
+  acquire.lock = "a";
+  acquire.owner = "o";
+  one.Execute(RpcRequest(RequestId{3, 1}, R2p2Policy::kReplicatedReq, EncodeLockCommand(acquire)));
+  BufferWriter want;
+  want.PutU64(2);
+  want.PutU64(1);
+  want.PutU64(1);
+  want.PutString("a");
+  want.PutString("o");
+  want.PutU64(1);
+  EXPECT_EQ(ImageBehindPrefix(one), want.bytes());
+}
+
+TEST(SnapshotToTest, SyntheticServiceImageEqualsSnapshotState) {
+  SyntheticService svc;
+  SyntheticOp op;
+  op.reply_bytes = 8;
+  for (uint64_t i = 1; i <= 10; ++i) {
+    svc.Execute(RpcRequest(RequestId{1, i}, R2p2Policy::kReplicatedReq, EncodeSyntheticOp(op, 24)));
+  }
+  const std::vector<uint8_t> image = ImageBehindPrefix(svc);
+  EXPECT_TRUE(svc.SnapshotState() == image);
+  BufferWriter want;  // [u64 applied][u64 digest]
+  want.PutU64(svc.ApplyCount());
+  want.PutU64(svc.Digest());
+  EXPECT_EQ(image, want.bytes());
+}
+
+// A decorator that overrides only SnapshotState(), like a timing wrapper:
+// SnapshotTo takes the default route.
+class SnapshotStateOnly final : public StateMachine {
+ public:
+  explicit SnapshotStateOnly(const StateMachine* inner) : inner_(inner) {}
+  ExecResult Execute(const RpcRequest&) override { return ExecResult{}; }
+  uint64_t Digest() const override { return inner_->Digest(); }
+  uint64_t ApplyCount() const override { return inner_->ApplyCount(); }
+  Body SnapshotState() const override {
+    ++calls;
+    return inner_->SnapshotState();
+  }
+  Status RestoreState(const Body&) override { return FailedPreconditionError("read only"); }
+
+  mutable int calls = 0;
+
+ private:
+  const StateMachine* inner_;
+};
+
+TEST(SnapshotToTest, DefaultRouteSerializesThroughSnapshotStateOnce) {
+  KvService inner;
+  KvCommand cmd;
+  cmd.op = KvOpcode::kRpush;
+  cmd.key = "thread";
+  for (uint64_t i = 1; i <= 50; ++i) {
+    cmd.value = std::string(100, static_cast<char>('a' + i % 26));
+    inner.Execute(KvRequest(i, cmd));
+  }
+  SnapshotStateOnly wrapper(&inner);
+  const std::vector<uint8_t> image = ImageBehindPrefix(wrapper);
+  EXPECT_EQ(wrapper.calls, 1);
+  EXPECT_TRUE(inner.SnapshotState() == image);
+  EXPECT_TRUE(SnapshotBody(wrapper) == image);
+  EXPECT_EQ(wrapper.calls, 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 // corruption handling (docs/durability.md).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <map>
@@ -686,6 +687,187 @@ TEST(StableStorageTest, GoldenSnapshotBytes) {
     EXPECT_EQ(rec.snapshot_term, 3u);
     EXPECT_EQ(rec.snapshot_payload, payload);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot write path: streamed checksum, in-place rewrite and its fence.
+// ---------------------------------------------------------------------------
+
+// Uneven piece lengths: below, at and above the 32-byte block, and larger
+// than a 64 KiB fold step.
+constexpr size_t kPieces[] = {1, 3, 7, 32, 31, 33, 64, 5, 1000, 70000, 0, 8};
+
+uint64_t StreamedChecksum(std::span<const uint8_t> data) {
+  SnapshotChecksumStream stream;
+  stream.Update({});
+  size_t off = 0;
+  for (size_t i = 0; off < data.size(); ++i) {
+    const size_t n = std::min(kPieces[i % std::size(kPieces)], data.size() - off);
+    stream.Update(data.subspan(off, n));
+    off += n;
+  }
+  return stream.Finish();
+}
+
+// Every length 0..130, and lengths within 33 bytes of each of the first
+// three multiples of 64 KiB; `shift` offsets the second set.
+std::vector<size_t> ChecksumTestLengths(size_t shift) {
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 130; ++len) {
+    lengths.push_back(len);
+  }
+  for (size_t k = 1; k <= 3; ++k) {
+    for (size_t d = 0; d <= 66; ++d) {
+      lengths.push_back(k * 65536 - shift + d - 33);
+    }
+  }
+  return lengths;
+}
+
+TEST(SnapshotChecksumTest, StreamedEqualsOneShotForEveryLengthAndSplit) {
+  const std::vector<uint8_t> data = Pattern(3 * 65536 + 64);
+  for (size_t len : ChecksumTestLengths(0)) {
+    const std::span<const uint8_t> prefix(data.data(), len);
+    ASSERT_EQ(StreamedChecksum(prefix), SnapshotChecksum(prefix)) << "length " << len;
+  }
+}
+
+uint64_t LoadLe64(const std::vector<uint8_t>& b) {
+  uint64_t v = 0;
+  for (size_t i = 0; i < 8; ++i) {
+    v |= static_cast<uint64_t>(b[i]) << (8 * i);
+  }
+  return v;
+}
+
+// Writes `payload` through BeginSnapshot in uneven pieces.
+void SnapshotInPieces(StableStorage* storage, LogIndex idx, std::span<const uint8_t> payload) {
+  BufferWriter* w = storage->BeginSnapshot(idx, 1, payload.size());
+  size_t off = 0;
+  for (size_t i = 0; off < payload.size(); ++i) {
+    const size_t n = std::min(kPieces[i % std::size(kPieces)], payload.size() - off);
+    if (n == 1) {
+      w->PutU8(payload[off]);
+    } else {
+      w->PutBytes(payload.subspan(off, n));
+    }
+    off += n;
+  }
+  storage->FinishSnapshot();
+}
+
+TEST(StableStorageTest, SnapshotChecksumFoldedDuringWriteMatchesOneShot) {
+  // The file checksum is folded in 64 KiB steps as the payload lands. With a
+  // 28-byte header and the checksum starting at byte 8, payloads 20 bytes
+  // short of a multiple of 64 KiB put the end of the file on a fold step.
+  // All of them go through one StableStorage, so the file's buffer is
+  // rewritten in place as the images grow and shrink.
+  Simulator sim;
+  SimDisk disk(&sim, 1, 0);
+  StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
+  const std::vector<uint8_t> data = Pattern(3 * 65536 + 64);
+  LogIndex idx = 0;
+  for (size_t len : ChecksumTestLengths(20)) {
+    const std::span<const uint8_t> payload(data.data(), len);
+    SnapshotInPieces(&storage, ++idx, payload);
+    const std::vector<uint8_t>& file = disk.Read("snapshot");
+    ASSERT_EQ(file.size(), 28 + len);
+    ASSERT_EQ(LoadLe64(file), SnapshotChecksum(std::span<const uint8_t>(file).subspan(8)))
+        << "payload length " << len;
+    StableStorage::Recovery rec = storage.Recover(true);
+    ASSERT_TRUE(rec.has_snapshot) << "payload length " << len;
+    ASSERT_EQ(rec.snapshot_index, idx);
+    ASSERT_TRUE(std::equal(rec.snapshot_payload.begin(), rec.snapshot_payload.end(),
+                           payload.begin(), payload.end()));
+  }
+}
+
+TEST(StableStorageTest, ConsecutiveSnapshotsShrinkThenGrowInPlace) {
+  Simulator sim;
+  SimDisk disk(&sim, 1, 0);
+  StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
+  LogIndex idx = 0;
+  for (size_t len : {size_t{1} << 20, size_t{10}, size_t{2} << 20}) {
+    SCOPED_TRACE(len);
+    const std::vector<uint8_t> payload = Pattern(len);
+    SnapshotInPieces(&storage, ++idx, payload);
+    EXPECT_EQ(disk.Size("snapshot"), 28 + len);
+    EXPECT_EQ(disk.SyncedSize("snapshot"), 28 + len);
+    if (len == 10) {
+      // The 10-byte image was written into the 1 MiB image's buffer.
+      EXPECT_GE(disk.Read("snapshot").capacity(), size_t{1} << 20);
+    }
+    StableStorage::Recovery rec = storage.Recover(true);
+    ASSERT_TRUE(rec.has_snapshot);
+    EXPECT_FALSE(rec.suspect);
+    EXPECT_EQ(rec.snapshot_index, idx);
+    EXPECT_EQ(rec.snapshot_payload, payload);
+  }
+  EXPECT_EQ(storage.stats().snapshots_saved, 3u);
+}
+
+TEST(SimDiskTest, RewriteLeavesOtherFilesUsable) {
+  Simulator sim;
+  SimDisk disk(&sim, 1, 0);
+  disk.WriteAndSync("snapshot", Bytes({1, 2, 3}));
+  std::vector<uint8_t> buffer = disk.BeginRewrite("snapshot");
+  EXPECT_TRUE(buffer.empty());
+  Append(&disk, "wal-00000001", Bytes({9, 9}));
+  EXPECT_EQ(disk.Size("wal-00000001"), 2u);
+  EXPECT_TRUE(disk.Sync(nullptr, true));
+  buffer.assign({4, 5});
+  disk.WriteAndSync("snapshot", std::move(buffer));
+  EXPECT_EQ(disk.Read("snapshot"), Bytes({4, 5}));
+  EXPECT_EQ(disk.SyncedSize("snapshot"), 2u);
+  EXPECT_EQ(disk.SyncedSize("wal-00000001"), 2u);
+}
+
+// Opens a rewrite of "snapshot" on `disk` after giving the file content.
+void OpenRewrite(SimDisk* disk) {
+  disk->WriteAndSync("snapshot", Bytes({1, 2, 3}));
+  (void)disk->BeginRewrite("snapshot");
+}
+
+TEST(SimDiskDeathTest, TouchingTheFileDuringARewriteFailsTheFence) {
+  Simulator sim;
+  EXPECT_DEATH({ SimDisk d(&sim, 1, 0); OpenRewrite(&d); (void)d.Read("snapshot"); },
+               "CHECK failed");
+  EXPECT_DEATH({ SimDisk d(&sim, 1, 0); OpenRewrite(&d); (void)d.Exists("snapshot"); },
+               "CHECK failed");
+  EXPECT_DEATH({ SimDisk d(&sim, 1, 0); OpenRewrite(&d); (void)d.SyncedSize("snapshot"); },
+               "CHECK failed");
+  EXPECT_DEATH({ SimDisk d(&sim, 1, 0); OpenRewrite(&d); d.Truncate("snapshot", 1); },
+               "CHECK failed");
+  EXPECT_DEATH({ SimDisk d(&sim, 1, 0); OpenRewrite(&d); (void)d.FlipByte("snapshot", 0); },
+               "CHECK failed");
+  EXPECT_DEATH({ SimDisk d(&sim, 1, 0); OpenRewrite(&d); d.Delete("snapshot"); },
+               "CHECK failed");
+  EXPECT_DEATH({ SimDisk d(&sim, 1, 0); OpenRewrite(&d); d.Crash(); }, "CHECK failed");
+  EXPECT_DEATH({ SimDisk d(&sim, 1, 0); OpenRewrite(&d); (void)d.BeginRewrite("other"); },
+               "CHECK failed");
+  // Append carries no check (it is the WAL's per-record call); an append to
+  // the fenced file is caught when the rewrite is handed back.
+  EXPECT_DEATH(
+      {
+        SimDisk d(&sim, 1, 0);
+        OpenRewrite(&d);
+        Append(&d, "snapshot", Bytes({7}));
+        d.WriteAndSync("snapshot", Bytes({4, 5}));
+      },
+      "CHECK failed");
+}
+
+TEST(SimDiskDeathTest, ReadingTheSnapshotWhileStableStorageWritesItFails) {
+  EXPECT_DEATH(
+      {
+        Simulator sim;
+        SimDisk disk(&sim, 1, 0);
+        StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
+        storage.SaveSnapshot(1, 1, Pattern(100));
+        storage.BeginSnapshot(2, 1, 100)->PutBytes(Pattern(50));
+        (void)disk.Read("snapshot");
+      },
+      "CHECK failed");
 }
 
 }  // namespace

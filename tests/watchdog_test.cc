@@ -91,6 +91,22 @@ TEST(WatchdogMutationTest, LogDivergenceAtCommit) {
   rig.ExpectViolation(WatchdogCode::kLogDivergence);
 }
 
+TEST(WatchdogMutationTest, LogDivergenceAtCommitFarBeyondTheCommitTable) {
+  // An index far past every commit seen so far is kept aside rather than
+  // growing the dense per-index table to it; once the table grows past it,
+  // the first term committed there still counts.
+  Rig rig;
+  constexpr uint64_t kFar = (uint64_t{1} << 20) + 5;
+  rig.fr.Record(100, 0, FrType::kCommit, kFar, 4);
+  rig.fr.Record(110, 1, FrType::kCommit, 1'000'000'000, 9);
+  rig.fr.Record(120, 1, FrType::kCommit, 1'000'000'000, 9);
+  rig.fr.Record(200, 3, FrType::kCommit, 10, 4);
+  rig.fr.Record(300, 4, FrType::kCommit, kFar + 1, 4);  // the table now covers kFar
+  EXPECT_TRUE(rig.wd.ok()) << rig.wd.Summary();
+  rig.fr.Record(400, 2, FrType::kCommit, kFar, 5);
+  rig.ExpectViolation(WatchdogCode::kLogDivergence);
+}
+
 TEST(WatchdogMutationTest, DurableIndexRegression) {
   Rig rig;
   rig.fr.Record(100, 0, FrType::kDurable, 100, 0);
