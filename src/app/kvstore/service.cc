@@ -209,7 +209,7 @@ KvReply KvService::Apply(const KvCommand& cmd, TimeNs* cost_out) {
 }
 
 void KvService::SnapshotTo(SnapshotSink& sink) const {
-  BufferWriter* w = sink.Begin(8 + 8 + store_.SerializedSize());
+  BufferWriter* w = sink.Begin(SnapshotSize());
   w->PutU64(applied_);
   w->PutU64(mutation_digest_);
   store_.SerializeTo(*w);

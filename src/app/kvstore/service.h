@@ -40,6 +40,7 @@ class KvService final : public StateMachine {
   Body SnapshotState() const override { return SnapshotBody(*this); }
   Status RestoreState(const Body& snapshot) override;
   void SnapshotTo(SnapshotSink& sink) const override;
+  size_t SnapshotSize() const override { return 8 + 8 + store_.SerializedSize(); }
 
   // Shard-move range handoff: keys are selected by ShardSlotOf(key), the
   // same hash the router uses, so a moved range carries exactly the keys

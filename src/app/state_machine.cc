@@ -10,6 +10,8 @@ void StateMachine::SnapshotTo(SnapshotSink& sink) const {
   }
 }
 
+size_t StateMachine::SnapshotSize() const { return SnapshotBody(*this).size(); }
+
 Body SnapshotBody(const StateMachine& app) {
   BufferWriter w;
   WriteSnapshot(app, [&w](size_t image_bytes) {

@@ -70,6 +70,10 @@ class StateMachine {
   // implements SnapshotState() as SnapshotBody(*this); it must not leave
   // SnapshotTo on the default as well, or the two recurse.
   virtual void SnapshotTo(SnapshotSink& sink) const;
+  // The exact size n that SnapshotTo announces. The default serializes the
+  // image once to measure it; an app that tracks its image size answers in
+  // O(1).
+  virtual size_t SnapshotSize() const;
 
   // --- Shard-move range handoff (src/shard, docs/sharding.md). A live shard
   // move freezes a slot range at the source group, captures exactly that

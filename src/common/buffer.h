@@ -27,6 +27,14 @@ class BufferWriter {
     bytes_.clear();
     bytes_.reserve(reserve);
   }
+  // Writes after `storage`'s existing contents, growing its capacity to
+  // `reserve` bytes in total.
+  static BufferWriter Extending(std::vector<uint8_t> storage, size_t reserve) {
+    BufferWriter w;
+    w.bytes_ = std::move(storage);
+    w.bytes_.reserve(reserve);
+    return w;
+  }
 
   void PutU8(uint8_t v) {
     bytes_.push_back(v);
@@ -66,9 +74,6 @@ class BufferWriter {
   // are only known once the rest of a record is in place).
   void PatchU32(size_t pos, uint32_t v) { PatchLittleEndian(pos, v); }
   void PatchU64(size_t pos, uint64_t v) { PatchLittleEndian(pos, v); }
-
-  // Empties the buffer but keeps its capacity, for writers reused per record.
-  void Clear() { bytes_.clear(); }
 
   size_t size() const { return bytes_.size(); }
   const std::vector<uint8_t>& bytes() const { return bytes_; }

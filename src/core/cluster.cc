@@ -59,6 +59,9 @@ Cluster::Cluster(const ClusterConfig& config)
     members_.push_back(n);
   }
 
+  // Every replica starts from the same pristine app state; its image, the
+  // fallback for an unreadable snapshot file, is built once for the group.
+  Body genesis_app_state;
   for (NodeId n = 0; n < nodes; ++n) {
     ServerConfig sc = config_.server_template;
     sc.mode = config_.mode;
@@ -91,9 +94,13 @@ Cluster::Cluster(const ClusterConfig& config)
       sc.raft.election_timeout_min = Millis(1);
       sc.raft.election_timeout_max = Millis(2);
     }
-    auto server = std::make_unique<ReplicatedServer>(sim_, config_.costs, sc,
-                                                     config_.app_factory(),
-                                                     config_.seed + 0x1000u + static_cast<uint64_t>(n));
+    std::unique_ptr<StateMachine> app = config_.app_factory();
+    if (config_.mode != ClusterMode::kUnreplicated && genesis_app_state == nullptr) {
+      genesis_app_state = SnapshotBody(*app);
+    }
+    auto server = std::make_unique<ReplicatedServer>(
+        sim_, config_.costs, sc, std::move(app),
+        config_.seed + 0x1000u + static_cast<uint64_t>(n), genesis_app_state);
     server_hosts_.push_back(net_->Attach(server.get()));
     servers_.push_back(std::move(server));
   }

@@ -37,7 +37,9 @@ struct ClusterConfig {
   // and never campaign until AddServer() brings them into the config
   // (dynamic membership). Ignored by kUnreplicated.
   int32_t spare_nodes = 0;
-  // Factory invoked once per node so every replica owns its own state.
+  // Factory invoked once per node so every replica owns its own state. Every
+  // call must return an app in the same state: the group shares one pristine
+  // image as the fallback for an unreadable snapshot (checked by size only).
   std::function<std::unique_ptr<StateMachine>()> app_factory;
 
   // Reply / read-only load balancing (paper sections 3.3-3.6). kLeaderOnly

@@ -30,7 +30,7 @@ void PutConfigPrefix(const MembershipConfig* config, LogIndex config_idx, Buffer
 
 ReplicatedServer::ReplicatedServer(Simulator* sim, const CostModel& costs,
                                    const ServerConfig& config, std::unique_ptr<StateMachine> app,
-                                   uint64_t seed)
+                                   uint64_t seed, Body genesis_app_state)
     : Host(sim, costs, Kind::kServer),
       config_(config),
       app_(std::move(app)),
@@ -47,7 +47,11 @@ ReplicatedServer::ReplicatedServer(Simulator* sim, const CostModel& costs,
     storage_->set_node(obs_node_id());
     raft_ = std::make_unique<RaftNode>(sim, seed, config_.raft, this);
     raft_->set_storage(storage_.get());
-    genesis_app_state_ = SnapshotBody(*app_);
+    // The group's shared image stands in for this replica's own: the app
+    // must start from the same state, checked here by its exact image size.
+    HC_CHECK(genesis_app_state != nullptr);
+    HC_CHECK_EQ(app_->SnapshotSize(), genesis_app_state.size());
+    genesis_app_state_ = std::move(genesis_app_state);
   }
 }
 
@@ -530,10 +534,10 @@ void ReplicatedServer::ExecuteLeasedRead(const std::shared_ptr<const RpcRequest>
                      result.service_time);
   }
   // FEEDBACK was settled at grant time on the leader.
-  app_thread_.Submit(result.service_time,
-                     [this, rid = request->rid(), body = std::move(result.reply)]() {
-                       SendReply(rid, body, /*send_feedback=*/false);
-                     });
+  completion_replies_.push_back(std::move(result.reply));
+  app_thread_.Submit(result.service_time, [this, rid = request->rid()]() {
+    SendReply(rid, TakeCompletionReply(), /*send_feedback=*/false);
+  });
 }
 
 void ReplicatedServer::DrainPendingReads() {
@@ -596,8 +600,9 @@ void ReplicatedServer::ExecuteUnreplicated(const std::shared_ptr<const RpcReques
         Body cached = sessions_.CachedReply(request->rid());
         if (cached != nullptr) {
           ++stats_.dedup_replies;
-          app_thread_.Submit(0, [this, rid = request->rid(), cached = std::move(cached)]() {
-            SendReply(rid, cached, /*send_feedback=*/false);
+          completion_replies_.push_back(std::move(cached));
+          app_thread_.Submit(0, [this, rid = request->rid()]() {
+            SendReply(rid, TakeCompletionReply(), /*send_feedback=*/false);
           });
         }
         return;
@@ -624,9 +629,10 @@ void ReplicatedServer::ExecuteUnreplicated(const std::shared_ptr<const RpcReques
     tracer->Complete(obs::TrackOfHost(id()), obs::kTidApp, "apply", apply_start,
                      result.service_time);
   }
-  app_thread_.Submit(result.service_time,
-                     [this, rid = request->rid(), body = std::move(result.reply),
-                      send_feedback]() { SendReply(rid, body, send_feedback); });
+  completion_replies_.push_back(std::move(result.reply));
+  app_thread_.Submit(result.service_time, [this, rid = request->rid(), send_feedback]() {
+    SendReply(rid, TakeCompletionReply(), send_feedback);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -728,11 +734,14 @@ void ReplicatedServer::ScheduleApply(LogIndex idx) {
     if (reply_here && cached != nullptr) {
       ++stats_.dedup_replies;
     }
-    app_thread_.Submit(0, [this, idx, rid = entry.rid, reply_here,
-                           cached = std::move(cached)]() {
+    const bool send_cached = reply_here && cached != nullptr;
+    if (send_cached) {
+      completion_replies_.push_back(std::move(cached));
+    }
+    app_thread_.Submit(0, [this, idx, rid = entry.rid, send_cached]() {
       raft_->OnApplied(idx);
-      if (reply_here && cached != nullptr) {
-        SendReply(rid, cached, /*send_feedback=*/false);
+      if (send_cached) {
+        SendReply(rid, TakeCompletionReply(), /*send_feedback=*/false);
       }
     });
     return;
@@ -771,19 +780,19 @@ void ReplicatedServer::ScheduleApply(LogIndex idx) {
     tracer->Complete(obs::TrackOfHost(id()), obs::kTidApp, "apply", apply_start,
                      result.service_time);
   }
-  // Ownership rule: the reply Body is moved into the completion callback
-  // (never copied); SendReply takes its own reference only when the reply
-  // actually leaves this host. This capture set is the simulator's inline
-  // budget worst case (Simulator::kInlineCallbackBytes) — growing it pushes
-  // the hottest apply-path event onto the heap fallback.
-  app_thread_.Submit(result.service_time,
-                     [this, idx, rid, reply_here, send_feedback,
-                      body = std::move(result.reply)]() {
-                       raft_->OnApplied(idx);
-                       if (reply_here) {
-                         SendReply(rid, body, send_feedback);
-                       }
-                     });
+  // Ownership rule: the reply Body is moved into completion_replies_ (never
+  // copied) and the completion takes it back out; a replica that does not
+  // reply drops it here. This is the hottest apply-path event: its capture
+  // must stay within Simulator::kInlineCallbackBytes, which Submit enforces.
+  if (reply_here) {
+    completion_replies_.push_back(std::move(result.reply));
+  }
+  app_thread_.Submit(result.service_time, [this, idx, rid, reply_here, send_feedback]() {
+    raft_->OnApplied(idx);
+    if (reply_here) {
+      SendReply(rid, TakeCompletionReply(), send_feedback);
+    }
+  });
 }
 
 void ReplicatedServer::ApplyShardCtl(LogIndex idx, const LogEntry& entry) {
@@ -912,13 +921,22 @@ void ReplicatedServer::ApplyShardCtl(LogIndex idx, const LogEntry& entry) {
   if (reply_here && reply == nullptr) {
     reply = MakeBody(std::vector<uint8_t>{1});  // install/gc ack
   }
-  app_thread_.Submit(cost, [this, idx, rid = entry.rid, reply_here, send_feedback,
-                            body = std::move(reply)]() {
+  if (reply_here) {
+    completion_replies_.push_back(std::move(reply));
+  }
+  app_thread_.Submit(cost, [this, idx, rid = entry.rid, reply_here, send_feedback]() {
     raft_->OnApplied(idx);
     if (reply_here) {
-      SendReply(rid, body, send_feedback);
+      SendReply(rid, TakeCompletionReply(), send_feedback);
     }
   });
+}
+
+Body ReplicatedServer::TakeCompletionReply() {
+  HC_CHECK(!completion_replies_.empty());
+  Body body = std::move(completion_replies_.front());
+  completion_replies_.pop_front();
+  return body;
 }
 
 void ReplicatedServer::SendReply(const RequestId& rid, Body body, bool send_feedback) {

@@ -14,6 +14,7 @@
 #ifndef SRC_CORE_SERVER_H_
 #define SRC_CORE_SERVER_H_
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -118,8 +119,12 @@ struct ServerStats {
 
 class ReplicatedServer final : public Host, public RaftNode::Env {
  public:
+  // `genesis_app_state` is `app`'s pristine image (SnapshotBody), shared by
+  // every replica of a group and required in replicated modes; an
+  // unreplicated server keeps no image and takes none.
   ReplicatedServer(Simulator* sim, const CostModel& costs, const ServerConfig& config,
-                   std::unique_ptr<StateMachine> app, uint64_t seed);
+                   std::unique_ptr<StateMachine> app, uint64_t seed,
+                   Body genesis_app_state = nullptr);
   ~ReplicatedServer() override;
 
   // Wiring (after Network::Attach of all hosts). `node_hosts[i]` is the host
@@ -230,6 +235,9 @@ class ReplicatedServer final : public Host, public RaftNode::Env {
   // recovery path of last resort when the on-disk snapshot is unreadable).
   void InitShardState();
   void SendReply(const RequestId& rid, Body body, bool send_feedback = true);
+  // Pops the reply body the oldest replying app-thread completion parked in
+  // completion_replies_.
+  Body TakeCompletionReply();
   // Protocol CPU beyond raw byte handling, charged on the net thread.
   TimeNs ProtocolCpu(const Message& msg) const;
   void ArmMaintenanceTimers();
@@ -250,6 +258,11 @@ class ReplicatedServer final : public Host, public RaftNode::Env {
   std::unique_ptr<StableStorage> storage_;
   std::unique_ptr<RaftNode> raft_;
   SerialResource app_thread_;
+  // Reply bodies waiting for their app-thread completion. app_thread_
+  // completes in submit order, so a completion that sends a reply pops the
+  // body its own Submit pushed. A Body (48 B) inside the closure would push
+  // every replying completion past Simulator::kInlineCallbackBytes.
+  std::deque<Body> completion_replies_;
   UnorderedStore unordered_;
   // Replicated client sessions: a deterministic function of the applied log
   // prefix, so it survives Restart() alongside the application state and
@@ -267,8 +280,9 @@ class ReplicatedServer final : public Host, public RaftNode::Env {
   // Apply pipeline: last log index handed to the app thread.
   LogIndex apply_cursor_ = 0;
 
-  // Pristine application image captured at construction: the recovery target
-  // of last resort when the on-disk snapshot itself is unreadable.
+  // Pristine application image, immutable and shared by the group's replicas
+  // (Cluster builds it once): the recovery target of last resort when the
+  // on-disk snapshot itself is unreadable.
   Body genesis_app_state_;
   // Last index covered by the on-disk snapshot; compaction skips the write
   // when the apply cursor has not moved past it.

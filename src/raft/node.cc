@@ -126,7 +126,8 @@ void RaftNode::StorageAppendEntry(LogIndex idx) {
     return;
   }
   const LogEntry& e = log_.At(idx);
-  storage_->AppendEntry(idx, e.term, e.replier, [&e](BufferWriter* w) { EncodeWalEntry(e, w); });
+  // The record is encoded only if a crash, a fault or recovery reads it.
+  storage_->AppendEntry(idx, e.term, e.replier, WalEntrySize(e), WalEntryEncoder(e));
 }
 
 void RaftNode::ScheduleDurability(LogIndex tail) {

@@ -9,6 +9,50 @@ constexpr uint8_t kHasRequest = 1 << 0;
 constexpr uint8_t kHasConfig = 1 << 1;
 constexpr uint8_t kIsNoop = 1 << 2;
 constexpr uint8_t kIsReadOnly = 1 << 3;
+// The fixed part: flags, rid, body hash and ack watermark.
+constexpr size_t kWalEntryFixedBytes = 1 + 8 + 8 + 8 + 8;
+// The request header ahead of its body: policy, attempt, ack, slot, length.
+constexpr size_t kWalRequestHeaderBytes = 1 + 4 + 8 + 4 + 4;
+
+// The one encoder behind EncodeWalEntry and WalEntryEncoder; `E` is either.
+template <typename E>
+void EncodeWalFields(const E& e, BufferWriter* w) {
+  uint8_t flags = 0;
+  if (e.request != nullptr) {
+    flags |= kHasRequest;
+  }
+  if (e.config != nullptr) {
+    flags |= kHasConfig;
+  }
+  if (e.noop) {
+    flags |= kIsNoop;
+  }
+  if (e.read_only) {
+    flags |= kIsReadOnly;
+  }
+  w->PutU8(flags);
+  w->PutI64(static_cast<int64_t>(e.rid.client));
+  w->PutU64(e.rid.seq);
+  w->PutU64(e.body_hash);
+  w->PutU64(e.ack_watermark);
+  if (e.request != nullptr) {
+    const RpcRequest& req = *e.request;
+    w->PutU8(static_cast<uint8_t>(req.policy()));
+    w->PutU32(req.attempt());
+    w->PutU64(req.ack_watermark());
+    w->PutU32(req.shard_slot());
+    if (req.body() != nullptr) {
+      w->PutU32(static_cast<uint32_t>(req.body()->size()));
+      w->PutBytes(*req.body());
+    } else {
+      w->PutU32(0);
+    }
+  }
+  if (e.config != nullptr) {
+    EncodeConfig(*e.config, w);
+  }
+}
+
 }  // namespace
 
 void EncodeConfig(const MembershipConfig& config, BufferWriter* w) {
@@ -52,42 +96,30 @@ MembershipConfigPtr DecodeConfig(BufferReader* r) {
   return MakeMembershipConfig(std::move(voters), std::move(learners));
 }
 
-void EncodeWalEntry(const LogEntry& entry, BufferWriter* w) {
-  uint8_t flags = 0;
+void EncodeWalEntry(const LogEntry& entry, BufferWriter* w) { EncodeWalFields(entry, w); }
+
+size_t WalEntrySize(const LogEntry& entry) {
+  size_t n = kWalEntryFixedBytes;
   if (entry.request != nullptr) {
-    flags |= kHasRequest;
+    const Body& body = entry.request->body();
+    n += kWalRequestHeaderBytes + (body != nullptr ? body.size() : 0);
   }
   if (entry.config != nullptr) {
-    flags |= kHasConfig;
+    n += EncodedConfigSize(*entry.config);
   }
-  if (entry.noop) {
-    flags |= kIsNoop;
-  }
-  if (entry.read_only) {
-    flags |= kIsReadOnly;
-  }
-  w->PutU8(flags);
-  w->PutI64(static_cast<int64_t>(entry.rid.client));
-  w->PutU64(entry.rid.seq);
-  w->PutU64(entry.body_hash);
-  w->PutU64(entry.ack_watermark);
-  if (entry.request != nullptr) {
-    const RpcRequest& req = *entry.request;
-    w->PutU8(static_cast<uint8_t>(req.policy()));
-    w->PutU32(req.attempt());
-    w->PutU64(req.ack_watermark());
-    w->PutU32(req.shard_slot());
-    if (req.body() != nullptr) {
-      w->PutU32(static_cast<uint32_t>(req.body()->size()));
-      w->PutBytes(*req.body());
-    } else {
-      w->PutU32(0);
-    }
-  }
-  if (entry.config != nullptr) {
-    EncodeConfig(*entry.config, w);
-  }
+  return n;
 }
+
+WalEntryEncoder::WalEntryEncoder(const LogEntry& entry)
+    : rid(entry.rid),
+      body_hash(entry.body_hash),
+      ack_watermark(entry.ack_watermark),
+      request(entry.request),
+      config(entry.config),
+      noop(entry.noop),
+      read_only(entry.read_only) {}
+
+void WalEntryEncoder::operator()(BufferWriter* w) const { EncodeWalFields(*this, w); }
 
 std::vector<uint8_t> EncodeWalEntry(const LogEntry& entry) {
   BufferWriter w(64);

@@ -5,6 +5,7 @@
 // InlineFunction stores the callable inline when it fits (every hot-path
 // lambda in src/net, src/raft, src/core and src/loadgen does) and only falls
 // back to a heap-allocating std::function wrapper for oversized captures.
+// Callers that must never take the fallback static_assert kStoresInline<F>.
 #ifndef SRC_SIM_CALLBACK_H_
 #define SRC_SIM_CALLBACK_H_
 
@@ -19,6 +20,11 @@ namespace hovercraft {
 template <size_t kBytes>
 class InlineFunction {
  public:
+  // Whether a callable of type F is stored in the inline buffer (no heap).
+  template <typename F, typename D = std::decay_t<F>>
+  static constexpr bool kStoresInline =
+      sizeof(D) <= kBytes && alignof(D) <= alignof(std::max_align_t);
+
   InlineFunction() = default;
   InlineFunction(std::nullptr_t) {}  // NOLINT: implicit, mirrors std::function
 
@@ -28,7 +34,7 @@ class InlineFunction {
                                  std::is_invocable_v<D&>,
                              int> = 0>
   InlineFunction(F&& fn) {  // NOLINT: implicit, mirrors std::function
-    if constexpr (sizeof(D) <= kBytes && alignof(D) <= alignof(std::max_align_t)) {
+    if constexpr (kStoresInline<D>) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(fn));
       ops_ = &kOps<D>;
     } else {

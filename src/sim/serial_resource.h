@@ -5,7 +5,9 @@
 #define SRC_SIM_SERIAL_RESOURCE_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <deque>
+#include <type_traits>
 #include <utility>
 
 #include "src/common/check.h"
@@ -22,9 +24,16 @@ class SerialResource final : public EventHandler {
  public:
   explicit SerialResource(Simulator* sim) : sim_(sim) { HC_CHECK(sim != nullptr); }
 
-  // Enqueues a work item costing `cost` ns; `on_done` (may be empty) runs at
-  // completion time. Returns the completion time.
-  TimeNs Submit(TimeNs cost, Simulator::Callback on_done = nullptr) {
+  // Enqueues a work item costing `cost` ns; `on_done` (may be omitted) runs
+  // at completion time. Returns the completion time. A completion whose
+  // capture outgrows the simulator's inline budget does not compile: it would
+  // silently become a heap-allocated std::function on every submit.
+  TimeNs Submit(TimeNs cost) { return Submit(cost, nullptr); }
+  template <typename F>
+  TimeNs Submit(TimeNs cost, F&& on_done) {
+    static_assert(std::is_same_v<std::decay_t<F>, std::nullptr_t> ||
+                      Simulator::Callback::kStoresInline<F>,
+                  "completion capture exceeds Simulator::kInlineCallbackBytes");
     HC_CHECK_GE(cost, 0);
     const TimeNs start = std::max(sim_->Now(), busy_until_);
     const TimeNs done = start + cost;
@@ -33,7 +42,7 @@ class SerialResource final : public EventHandler {
     total_busy_ += cost;
     // Completion times are non-decreasing and equal times fire in schedule
     // order, so completions pop done_queue_ strictly in submit order.
-    done_queue_.push_back(std::move(on_done));
+    done_queue_.emplace_back(std::forward<F>(on_done));
     sim_->At(done, this);
     return done;
   }

@@ -26,11 +26,32 @@ void SimDisk::RecordFsyncLatency(TimeNs latency) {
 
 size_t SimDisk::Append(const std::string& file, const uint8_t* data, size_t len) {
   File& f = files_[file];
+  Materialize(f);  // these bytes go after every pending record
   const size_t offset = f.data.size();
   f.data.insert(f.data.end(), data, data + len);
+  f.length = f.data.size();
   ++stats_.appends;
   stats_.bytes_written += len;
   return offset;
+}
+
+void SimDisk::Materialize(const File& f) const {
+  if (f.pending.empty()) {
+    return;
+  }
+  BufferWriter w = BufferWriter::Extending(std::move(f.data), f.length);
+  records_encoded_ += f.pending.size();
+  f.pending.EncodeAllAndClear(&w);
+  f.data = w.TakeBytes();
+  HC_CHECK_EQ(f.data.size(), f.length);  // every record wrote its declared length
+}
+
+void SimDisk::Cut(File& f, size_t size) {
+  Materialize(f);
+  if (size < f.data.size()) {
+    f.data.resize(size);
+  }
+  f.length = f.data.size();
 }
 
 void SimDisk::CheckNotRewriting(const std::string& file) const {
@@ -44,10 +65,8 @@ void SimDisk::Truncate(const std::string& file, size_t size) {
     return;
   }
   File& f = it->second;
-  if (size < f.data.size()) {
-    f.data.resize(size);
-  }
-  f.synced = std::min(f.synced, f.data.size());
+  Cut(f, size);
+  f.synced = std::min(f.synced, f.length);
 }
 
 void SimDisk::WriteAndSync(const std::string& file, std::vector<uint8_t> bytes) {
@@ -58,8 +77,10 @@ void SimDisk::WriteAndSync(const std::string& file, std::vector<uint8_t> bytes) 
   }
   stats_.bytes_written += bytes.size();
   ++stats_.appends;
+  f.pending.Clear();
   f.data = std::move(bytes);
-  f.synced = f.data.size();
+  f.length = f.data.size();
+  f.synced = f.length;
 }
 
 std::vector<uint8_t> SimDisk::BeginRewrite(const std::string& file) {
@@ -67,6 +88,8 @@ std::vector<uint8_t> SimDisk::BeginRewrite(const std::string& file) {
   File& f = files_[file];
   std::vector<uint8_t> buffer = std::move(f.data);
   f.data.clear();  // a moved-from vector is valid but unspecified
+  f.pending.Clear();
+  f.length = 0;
   f.synced = 0;
   rewriting_ = file;
   buffer.clear();
@@ -75,7 +98,7 @@ std::vector<uint8_t> SimDisk::BeginRewrite(const std::string& file) {
 
 void SimDisk::Delete(const std::string& file) {
   CheckNotRewriting(file);
-  files_.erase(file);
+  files_.erase(file);  // pending records are dropped unencoded
 }
 
 bool SimDisk::Sync(SyncCallback cb, bool coalesce) {
@@ -127,9 +150,10 @@ void SimDisk::StartNextFlush() {
   HC_CHECK(!flush_running_);
   while (!queue_.empty()) {
     flush_running_ = true;
-    running_frontier_.clear();
-    for (const auto& [name, f] : files_) {
-      running_frontier_[name] = f.data.size();
+    // Files created after this point keep frontier 0: the flush covers none
+    // of their bytes.
+    for (auto& [name, f] : files_) {
+      f.frontier = f.length;
     }
     const TimeNs latency = sync_latency_ + stall_;
     stats_.stall_ns += static_cast<uint64_t>(stall_);
@@ -156,13 +180,10 @@ void SimDisk::CompleteFlush() {
 
 void SimDisk::FinishFront() {
   ++stats_.syncs;
-  for (const auto& [name, size] : running_frontier_) {
-    auto it = files_.find(name);
-    if (it != files_.end()) {
-      it->second.synced = std::max(it->second.synced, std::min(size, it->second.data.size()));
-    }
+  for (auto& [name, f] : files_) {
+    f.synced = std::max(f.synced, std::min(f.frontier, f.length));
+    f.frontier = 0;
   }
-  running_frontier_.clear();
   HC_CHECK(!queue_.empty());
   FlushOp op = std::move(queue_.front());
   queue_.pop_front();
@@ -175,7 +196,7 @@ void SimDisk::FinishFront() {
 
 void SimDisk::MarkAllSynced() {
   for (auto& [name, f] : files_) {
-    f.synced = f.data.size();
+    f.synced = f.length;
   }
 }
 
@@ -186,20 +207,20 @@ void SimDisk::Crash() {
   next_crash_torn_ = false;
   for (auto& [name, f] : files_) {
     size_t keep = f.synced;
-    const size_t unsynced = f.data.size() - f.synced;
+    const size_t unsynced = f.length - f.synced;
     if (torn && unsynced > 0) {
       // A torn write: a strict prefix of the unsynced tail made it to the
       // platter, cutting the final record(s) mid-byte-stream.
       keep += static_cast<size_t>(rng_() % unsynced);
       ++stats_.torn_crashes;
     }
-    stats_.bytes_lost += f.data.size() - keep;
-    f.data.resize(keep);
-    f.synced = f.data.size();
+    stats_.bytes_lost += f.length - keep;
+    Cut(f, keep);
+    f.synced = f.length;
+    f.frontier = 0;
   }
   // The process died: pending barriers and their callbacks die with it.
   queue_.clear();
-  running_frontier_.clear();
   flush_running_ = false;
   if (flush_event_ != kInvalidEvent) {
     sim_->Cancel(flush_event_);
@@ -210,9 +231,10 @@ void SimDisk::Crash() {
 bool SimDisk::FlipByte(const std::string& file, size_t offset) {
   CheckNotRewriting(file);
   auto it = files_.find(file);
-  if (it == files_.end() || offset >= it->second.data.size()) {
+  if (it == files_.end() || offset >= it->second.length) {
     return false;
   }
+  Materialize(it->second);
   it->second.data[offset] ^= 0x40;
   ++stats_.flips;
   return true;
@@ -222,12 +244,16 @@ const std::vector<uint8_t>& SimDisk::Read(const std::string& file) const {
   static const std::vector<uint8_t> kEmpty;
   CheckNotRewriting(file);
   auto it = files_.find(file);
-  return it == files_.end() ? kEmpty : it->second.data;
+  if (it == files_.end()) {
+    return kEmpty;
+  }
+  Materialize(it->second);
+  return it->second.data;
 }
 
 size_t SimDisk::Size(const std::string& file) const {
   auto it = files_.find(file);
-  return it == files_.end() ? 0 : it->second.data.size();
+  return it == files_.end() ? 0 : it->second.length;
 }
 
 size_t SimDisk::SyncedSize(const std::string& file) const {

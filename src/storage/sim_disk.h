@@ -14,6 +14,15 @@
 // discarded (torn mode keeps a partial prefix of it — a torn final record)
 // and every pending sync callback dies with the process, so nothing can ack
 // from the grave. FlipByte models media corruption of already-durable bytes.
+//
+// Deferred writes (AppendDeferred) declare their exact length at append time
+// and produce their bytes only when something first observes the file: Read,
+// FlipByte, Truncate or Crash. Until then a file is its materialized bytes
+// followed by pending records, and every size, durability watermark, flush
+// frontier, crash draw and counter works on that logical length, so nothing
+// observable depends on when the bytes were produced. A file deleted before
+// anything observed it never produces them (docs/durability.md, "WAL write
+// path").
 #ifndef SRC_STORAGE_SIM_DISK_H_
 #define SRC_STORAGE_SIM_DISK_H_
 
@@ -22,10 +31,12 @@
 #include <map>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/types.h"
 #include "src/sim/simulator.h"
+#include "src/storage/deferred_records.h"
 
 namespace hovercraft {
 
@@ -47,13 +58,44 @@ class SimDisk {
   // stored without a heap allocation when its capture fits in 56 bytes.
   using SyncCallback = Simulator::Callback;
 
+  // A file. Callers hold the pointer Open returns as a handle, valid until
+  // the file is deleted; only SimDisk reads or writes the fields.
+  class File {
+   private:
+    friend class SimDisk;
+    // Materialized bytes, then the pending records, in append order. Both
+    // change when a const read materializes the file; the logical content
+    // does not.
+    mutable std::vector<uint8_t> data;
+    mutable DeferredRecords pending;
+    size_t length = 0;    // logical length: data plus every pending record
+    size_t synced = 0;    // durable watermark: [0, synced) survives a crash
+    size_t frontier = 0;  // length captured when the running flush started
+  };
+
   SimDisk(Simulator* sim, uint64_t seed, TimeNs sync_latency)
       : sim_(sim), rng_(seed), sync_latency_(sync_latency) {}
   SimDisk(const SimDisk&) = delete;
   SimDisk& operator=(const SimDisk&) = delete;
 
   // --- writes ---------------------------------------------------------------
-  // Returns the offset in `file` at which the data starts.
+  // Returns `name`'s handle, creating the file (empty) if it does not exist.
+  File* Open(const std::string& name) { return &files_[name]; }
+  // Queues a record of exactly `len` bytes that encode(BufferWriter* w)
+  // appends to w, which then holds the file's bytes before the record, when
+  // the file is first observed. Counted as written now. Returns the offset
+  // at which the record starts. No lookup by name: the per-record WAL path.
+  template <typename Encode>
+  size_t AppendDeferred(File* file, size_t len, Encode&& encode) {
+    const size_t offset = file->length;
+    file->pending.Push(std::forward<Encode>(encode));
+    file->length += len;
+    ++stats_.appends;
+    stats_.bytes_written += len;
+    return offset;
+  }
+  // Returns the offset in `file` at which the data starts. By-name append of
+  // raw bytes, used by tests; StableStorage appends through AppendDeferred.
   size_t Append(const std::string& file, const uint8_t* data, size_t len);
   // Truncates `file` to `size` bytes (clamping the durable watermark too).
   void Truncate(const std::string& file, size_t size);
@@ -103,11 +145,16 @@ class SimDisk {
   }
   const std::vector<uint8_t>& Read(const std::string& file) const;
   size_t Size(const std::string& file) const;
+  size_t Size(const File* file) const { return file->length; }
   size_t SyncedSize(const std::string& file) const;
   // Sorted names of the files whose name starts with `prefix`.
   std::vector<std::string> List(const std::string& prefix) const;
 
   const SimDiskStats& stats() const { return stats_; }
+  // Deferred records whose bytes were produced (an observation reached
+  // them). Not part of SimDiskStats: the metrics registry and everything
+  // derived from it are the same whenever the bytes were produced.
+  uint64_t records_encoded() const { return records_encoded_; }
   Simulator* sim() const { return sim_; }
   // Barriers waiting for (or holding) the flush engine; the per-node
   // flush-queue depth sampler reads this.
@@ -117,10 +164,6 @@ class SimDisk {
   void set_node(NodeId node);
 
  private:
-  struct File {
-    std::vector<uint8_t> data;
-    size_t synced = 0;  // durable watermark: data[0, synced) survives a crash
-  };
   // One queued barrier; the covered frontier is captured when the flush
   // starts (group-commit semantics), not when it was requested.
   struct FlushOp {
@@ -139,6 +182,10 @@ class SimDisk {
   void CompleteFlush();
   void FinishFront();
   void MarkAllSynced();
+  // Produces `f`'s pending records, in order, after its bytes.
+  void Materialize(const File& f) const;
+  // Materializes and cuts `f` to at most `size` bytes.
+  void Cut(File& f, size_t size);
 
   Simulator* sim_;
   std::mt19937_64 rng_;
@@ -153,10 +200,9 @@ class SimDisk {
   std::deque<FlushOp> queue_;
   bool flush_running_ = false;
   EventId flush_event_ = kInvalidEvent;
-  // Frontier of the in-flight flush: file -> size captured at start.
-  std::map<std::string, size_t> running_frontier_;
 
   SimDiskStats stats_;
+  mutable uint64_t records_encoded_ = 0;
 };
 
 }  // namespace hovercraft

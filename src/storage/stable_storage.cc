@@ -14,7 +14,6 @@ namespace hovercraft {
 
 namespace {
 
-constexpr size_t kRecordHeaderBytes = 4 + 1 + 8;  // len, type, crc
 constexpr char kSnapshotFile[] = "snapshot";
 constexpr size_t kSnapshotHeaderBytes = 8 + 8 + 8 + 4;  // checksum, idx, term, len
 // Checksum step while a snapshot is written: small enough that the folded
@@ -119,15 +118,20 @@ void StableStorage::AddSegment(uint64_t seq) {
   segments_.push_back(Segment{seq, 0, name});
 }
 
-void StableStorage::RotateIfFull() {
+SimDisk::File* StableStorage::CurrentFile() {
   if (segments_.empty()) {
     AddSegment(1);
-    return;
   }
-  if (!in_baseline_ && disk_->Size(segments_.back().name) >= segment_bytes_) {
-    AddSegment(segments_.back().seq + 1);
-    WriteBaseline();
+  Segment* seg = &segments_.back();
+  if (seg->file == nullptr) {
+    seg->file = disk_->Open(seg->name);
   }
+  if (!in_baseline_ && disk_->Size(seg->file) >= segment_bytes_) {
+    AddSegment(seg->seq + 1);
+    WriteBaseline();  // opens the new segment's file
+    seg = &segments_.back();
+  }
+  return seg->file;
 }
 
 void StableStorage::WriteBaseline() {
@@ -139,50 +143,46 @@ void StableStorage::WriteBaseline() {
   in_baseline_ = false;
 }
 
-BufferWriter* StableStorage::BeginRecord(RecordType type) {
-  RotateIfFull();  // may write the baseline records through record_ first
-  record_.Clear();
-  record_.PutU32(0);  // length, patched by FinishRecord
-  record_.PutU8(static_cast<uint8_t>(type));
-  record_.PutU64(0);  // CRC, patched by FinishRecord
-  return &record_;
+size_t StableStorage::WriteRecordHeader(BufferWriter* w, RecordType type) {
+  const size_t start = w->size();
+  w->PutU32(0);  // length, patched by SealRecord
+  w->PutU8(static_cast<uint8_t>(type));
+  w->PutU64(0);  // CRC, patched by SealRecord
+  return start;
 }
 
-size_t StableStorage::FinishRecord() {
-  const std::span<const uint8_t> bytes(record_.bytes());
-  const std::span<const uint8_t> payload = bytes.subspan(kRecordHeaderBytes);
-  record_.PatchU32(0, static_cast<uint32_t>(payload.size()));
-  record_.PatchU64(5, RecordCrc(bytes[4], payload));
-  return disk_->Append(segments_.back().name, bytes.data(), bytes.size());
+void StableStorage::SealRecord(BufferWriter* w, size_t start) {
+  const std::span<const uint8_t> record = std::span<const uint8_t>(w->bytes()).subspan(start);
+  const std::span<const uint8_t> payload = record.subspan(kRecordHeaderBytes);
+  w->PatchU32(start, static_cast<uint32_t>(payload.size()));
+  w->PatchU64(start + 5, RecordCrc(record[4], payload));
 }
 
-BufferWriter* StableStorage::BeginEntry(LogIndex idx, Term term, NodeId replier) {
-  BufferWriter* w = BeginRecord(RecordType::kEntry);
+void StableStorage::PutEntryEnvelope(BufferWriter* w, LogIndex idx, Term term, NodeId replier) {
   w->PutU64(idx);
   w->PutU64(static_cast<uint64_t>(term));
   w->PutI64(static_cast<int64_t>(replier));
-  return w;
 }
 
-void StableStorage::FinishEntry(LogIndex idx) {
+void StableStorage::NoteEntryAppended(LogIndex idx, size_t offset) {
   Segment& seg = segments_.back();
   seg.max_entry_idx = std::max(seg.max_entry_idx, idx);
-  NoteEntryLocation(idx, seg.seq, FinishRecord());
+  NoteEntryLocation(idx, seg.seq, offset);
   ++stats_.entry_records;
 }
 
 void StableStorage::WriteHardStateRecord() {
-  BufferWriter* w = BeginRecord(RecordType::kHardState);
-  w->PutU64(static_cast<uint64_t>(term_));
-  w->PutI64(static_cast<int64_t>(voted_for_));
-  FinishRecord();
+  AppendRecord<RecordType::kHardState>(16, [term = term_, vote = voted_for_](BufferWriter* w) {
+    w->PutU64(static_cast<uint64_t>(term));
+    w->PutI64(static_cast<int64_t>(vote));
+  });
 }
 
 void StableStorage::WriteCompactRecord() {
-  BufferWriter* w = BeginRecord(RecordType::kCompact);
-  w->PutU64(base_idx_);
-  w->PutU64(base_term_);
-  FinishRecord();
+  AppendRecord<RecordType::kCompact>(16, [idx = base_idx_, term = base_term_](BufferWriter* w) {
+    w->PutU64(idx);
+    w->PutU64(static_cast<uint64_t>(term));
+  });
 }
 
 void StableStorage::NoteEntryLocation(LogIndex idx, uint64_t seg_seq, size_t offset) {
@@ -228,21 +228,22 @@ void StableStorage::PersistHardState(Term term, NodeId voted_for) {
 
 void StableStorage::AppendEntry(LogIndex idx, Term term, NodeId replier,
                                 std::span<const uint8_t> payload) {
-  BeginEntry(idx, term, replier)->PutBytes(payload);
-  FinishEntry(idx);
+  AppendEntry(idx, term, replier, payload.size(),
+              [bytes = std::vector<uint8_t>(payload.begin(), payload.end())](BufferWriter* w) {
+                w->PutBytes(bytes);
+              });
 }
 
 void StableStorage::AppendAnnounce(LogIndex idx, NodeId replier) {
-  BufferWriter* w = BeginRecord(RecordType::kAnnounce);
-  w->PutU64(idx);
-  w->PutI64(static_cast<int64_t>(replier));
-  FinishRecord();
+  AppendRecord<RecordType::kAnnounce>(16, [idx, replier](BufferWriter* w) {
+    w->PutU64(idx);
+    w->PutI64(static_cast<int64_t>(replier));
+  });
   ++stats_.meta_records;
 }
 
 void StableStorage::AppendTruncate(LogIndex from) {
-  BeginRecord(RecordType::kTruncate)->PutU64(from);
-  FinishRecord();
+  AppendRecord<RecordType::kTruncate>(8, [from](BufferWriter* w) { w->PutU64(from); });
   ++stats_.meta_records;
   ForgetLocationsFrom(from);
 }

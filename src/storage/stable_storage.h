@@ -12,6 +12,12 @@
 //               [u64 checksum][u64 idx][u64 term][u32 len][payload]; the
 //               checksum (SnapshotChecksum) covers everything after itself.
 //
+// Every WAL record is appended as a SimDisk deferred record: its exact size
+// is known and counted at append time, and its bytes (header, CRC, envelope
+// and payload) are produced only when a read, a fault or recovery first
+// observes the segment (docs/durability.md, "WAL write path"). A segment
+// compacted away before that is never encoded.
+//
 // Durability discipline: records land in the volatile tail; Sync() runs a
 // barrier priced by persist_latency under the configured FsyncPolicy. Hard
 // state (term/vote) and snapshots are synced inline at zero cost — they are
@@ -135,17 +141,35 @@ class StableStorage {
   // --- write path (RaftNode hooks) -----------------------------------------
   // Term/vote change; synced inline (zero cost, see header comment).
   void PersistHardState(Term term, NodeId voted_for);
+  // The node's form: `encoder` writes exactly `payload_bytes` of opaque
+  // payload behind the header and envelope when the record is materialized,
+  // so it must own what it encodes: it outlives the call.
+  template <typename Encoder>
+    requires std::invocable<const Encoder&, BufferWriter*>
+  void AppendEntry(LogIndex idx, Term term, NodeId replier, size_t payload_bytes,
+                   Encoder encoder) {
+    const size_t offset = AppendRecord<RecordType::kEntry>(
+        kEntryEnvelopeBytes + payload_bytes,
+        [idx, term, replier, encoder = std::move(encoder)](BufferWriter* w) {
+          PutEntryEnvelope(w, idx, term, replier);
+          encoder(w);
+        });
+    NoteEntryAppended(idx, offset);
+  }
+  // A payload already in bytes: the pending record owns a copy of them.
   void AppendEntry(LogIndex idx, Term term, NodeId replier,
                    std::span<const uint8_t> payload);
-  // Single-pass form: `encode` appends the opaque payload straight into the
-  // record buffer behind the header and envelope, so no intermediate copy of
-  // the payload is built.
+  // `encode` runs now, into a scratch buffer; the record then owns a copy of
+  // its bytes. Kept for StableStorage.GoldenWalBytes, which pins the encoded
+  // bytes through it; the node uses the sized-encoder overload above.
   template <typename EncodePayload>
     requires std::invocable<EncodePayload&, BufferWriter*>
   void AppendEntry(LogIndex idx, Term term, NodeId replier, EncodePayload&& encode) {
-    BufferWriter* w = BeginEntry(idx, term, replier);
-    encode(w);
-    FinishEntry(idx);
+    BufferWriter w;
+    encode(&w);
+    const size_t payload_bytes = w.size();
+    AppendEntry(idx, term, replier, payload_bytes,
+                [bytes = w.TakeBytes()](BufferWriter* out) { out->PutBytes(bytes); });
   }
   void AppendAnnounce(LogIndex idx, NodeId replier);
   void AppendTruncate(LogIndex from);
@@ -192,6 +216,7 @@ class StableStorage {
     uint64_t seq = 0;
     LogIndex max_entry_idx = 0;
     std::string name;  // file name, formatted once when the segment is made
+    SimDisk::File* file = nullptr;  // opened by the segment's first record
   };
   // Where the newest entry record of one index starts; seg_seq 0 marks an
   // index without one (a gap).
@@ -200,18 +225,34 @@ class StableStorage {
     size_t offset = 0;
   };
 
+  static constexpr size_t kRecordHeaderBytes = 4 + 1 + 8;  // len, type, crc
+  static constexpr size_t kEntryEnvelopeBytes = 8 + 8 + 8;  // idx, term, replier
+
   void AddSegment(uint64_t seq);
-  // Rotates to a new segment (with a fresh baseline) when the current one
-  // outgrew segment_bytes_.
-  void RotateIfFull();
-  // Record building: BeginRecord rotates if needed, then starts the record
-  // in record_ with placeholder length and CRC fields; the caller appends
-  // the payload; FinishRecord patches both fields in place, writes the
-  // record to the current segment and returns its offset there.
-  BufferWriter* BeginRecord(RecordType type);
-  size_t FinishRecord();
-  BufferWriter* BeginEntry(LogIndex idx, Term term, NodeId replier);
-  void FinishEntry(LogIndex idx);
+  // The current segment's file, after rotating to a new segment (with a
+  // fresh baseline) when the current one outgrew segment_bytes_.
+  SimDisk::File* CurrentFile();
+  // Appends a deferred record of type kType to the current segment:
+  // `payload(w)` writes exactly `payload_bytes` when the disk materializes
+  // it, framed by WriteRecordHeader / SealRecord. Returns its offset.
+  template <RecordType kType, typename Payload>
+  size_t AppendRecord(size_t payload_bytes, Payload payload) {
+    SimDisk::File* file = CurrentFile();
+    return disk_->AppendDeferred(file, kRecordHeaderBytes + payload_bytes,
+                                 [payload = std::move(payload)](BufferWriter* w) {
+                                   const size_t start = WriteRecordHeader(w, kType);
+                                   payload(w);
+                                   SealRecord(w, start);
+                                 });
+  }
+  // Starts a record at the writer's end with placeholder length and CRC
+  // fields; returns where it starts.
+  static size_t WriteRecordHeader(BufferWriter* w, RecordType type);
+  // Patches the length and CRC of the record starting at `start`, whose
+  // payload runs to the writer's end.
+  static void SealRecord(BufferWriter* w, size_t start);
+  static void PutEntryEnvelope(BufferWriter* w, LogIndex idx, Term term, NodeId replier);
+  void NoteEntryAppended(LogIndex idx, size_t offset);
   void WriteHardStateRecord();
   void WriteCompactRecord();
   void WriteBaseline();
@@ -235,7 +276,6 @@ class StableStorage {
   LogIndex base_idx_ = 0;
   Term base_term_ = 0;
   bool in_baseline_ = false;
-  BufferWriter record_;  // reused for every record
   BufferWriter snapshot_;  // the snapshot file image between Begin and Finish
   size_t snapshot_payload_bytes_ = 0;
   SnapshotChecksumStream snapshot_checksum_;
