@@ -191,9 +191,10 @@ void BM_StableStorageMaterializeSegment24B(benchmark::State& state) {
 BENCHMARK(BM_StableStorageMaterializeSegment24B);
 
 // Snapshot save at the ycsb-e-pp5-80k image size: every 20 ms compaction
-// writes a ~21 MiB image per replica. The checksum cases compare the FNV-1a
+// takes a ~21 MiB image per replica. The checksum cases compare the FNV-1a
 // the snapshot file used to carry with SnapshotChecksum; the save case is
-// one whole single-pass StableStorage snapshot write.
+// one whole StableStorage snapshot, saved and then read, which produces its
+// bytes and checksum.
 constexpr size_t kYcsbImageBytes = size_t{21} << 20;
 
 // Runs `body` once per benchmark iteration and reports ns per MiB of `bytes`.
@@ -234,21 +235,28 @@ void BM_StableStorageSaveSnapshot21MiB(benchmark::State& state) {
   Simulator sim;
   SimDisk disk(&sim, 1, 0);
   StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
-  const std::vector<uint8_t> image = YcsbSizedImage();
+  const Body image = MakeBody(YcsbSizedImage());
   LogIndex idx = 0;
   TimePerMiB(state, image.size(), [&]() {
-    storage.BeginSnapshot(++idx, 1, image.size())->PutBytes(image);
-    storage.FinishSnapshot();
+    storage.SaveSnapshot(++idx, 1, std::vector<uint8_t>(), [&]() { return FreezeBody(image); });
+    benchmark::DoNotOptimize(disk.Read("snapshot").data());
   });
 }
 BENCHMARK(BM_StableStorageSaveSnapshot21MiB)->Unit(benchmark::kMillisecond);
 
 // The same save with the real image: a KvService holding the ycsb-e
-// preload (2000 conversations x 10 posts of 1 KB, ~21 MiB). SinglePass is
-// the server's path: the store serializes straight into the snapshot file's
-// buffer through StateMachine::SnapshotTo. ViaSnapshotState is the default
-// route a wrapper that overrides only SnapshotState() takes: serialize into
-// a fresh vector, then copy it into the file.
+// preload (2000 conversations x 10 posts of 1 KB, ~21 MiB).
+//   SinglePass: the server's path (StateMachine::Freeze), read at once, so
+//     the store serializes straight into the file's buffer: what every
+//     snapshot cost while snapshots were written eagerly.
+//   Freeze: what a compaction interval now costs: the freeze, plus the 80
+//     zipf-skewed Rpushes that land before the next one (80 kRPS x 5%
+//     inserts x 20 ms), each first touch of a key saving it in the undo log.
+//   MaterializeFrozen: what a read, a fault or recovery now pays for that
+//     interval's file: the image written from the order capture and the
+//     undo log.
+//   ViaSnapshotState: the default route a wrapper that overrides only
+//     SnapshotState() takes: serialize into a fresh vector, then copy it.
 std::unique_ptr<KvService> YcsbPreloadedKv() {
   auto svc = std::make_unique<KvService>();
   Rng rng(1);
@@ -258,22 +266,80 @@ std::unique_ptr<KvService> YcsbPreloadedKv() {
   return svc;
 }
 
+// The ycsb-e inserts of one 20 ms compaction interval at 80 kRPS.
+constexpr int kInsertsPerInterval = 80;
+
+// Runs kInsertsPerInterval zipf-skewed YCSB-E inserts (Rpush) on `svc`.
+void RunIntervalInserts(KvService* svc, const YcsbEGenerator& inserts, Rng& rng) {
+  for (int i = 0; i < kInsertsPerInterval; ++i) {
+    svc->Apply(inserts.Next(rng));
+  }
+}
+
+YcsbEGenerator InsertOnlyYcsb() {
+  YcsbEConfig config;
+  config.scan_fraction = 0;
+  return YcsbEGenerator(config);
+}
+
 void BM_KvSnapshotSinglePass21MiB(benchmark::State& state) {
   Simulator sim;
   SimDisk disk(&sim, 1, 0);
   StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
   const std::unique_ptr<KvService> svc = YcsbPreloadedKv();
   LogIndex idx = 0;
-  TimePerMiB(state, 16 + svc->store().SerializedSize(), [&]() {
-    WriteSnapshot(*svc, [&](size_t image_bytes) {
-      return storage.BeginSnapshot(++idx, 1, image_bytes);
-    });
-    storage.FinishSnapshot();
+  TimePerMiB(state, svc->SnapshotSize(), [&]() {
+    storage.SaveSnapshot(++idx, 1, std::vector<uint8_t>(), [&]() { return svc->Freeze(); });
     benchmark::DoNotOptimize(disk.Read("snapshot").data());
     benchmark::ClobberMemory();
   });
 }
 BENCHMARK(BM_KvSnapshotSinglePass21MiB)->Unit(benchmark::kMillisecond);
+
+void BM_KvFreeze21MiB(benchmark::State& state) {
+  Simulator sim;
+  SimDisk disk(&sim, 1, 0);
+  StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
+  const std::unique_ptr<KvService> svc = YcsbPreloadedKv();
+  const YcsbEGenerator inserts = InsertOnlyYcsb();
+  Rng rng(2);
+  LogIndex idx = 0;
+  for (auto _ : state) {
+    storage.SaveSnapshot(++idx, 1, std::vector<uint8_t>(), [&]() { return svc->Freeze(); });
+    RunIntervalInserts(svc.get(), inserts, rng);
+  }
+  state.counters["records_encoded"] = static_cast<double>(disk.records_encoded());
+}
+BENCHMARK(BM_KvFreeze21MiB)->Unit(benchmark::kMicrosecond);
+
+void BM_KvMaterializeFrozen21MiB(benchmark::State& state) {
+  Simulator sim;
+  SimDisk disk(&sim, 1, 0);
+  StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
+  const std::unique_ptr<KvService> svc = YcsbPreloadedKv();
+  const YcsbEGenerator inserts = InsertOnlyYcsb();
+  Rng rng(2);
+  LogIndex idx = 0;
+  const auto start = std::chrono::steady_clock::now();
+  std::chrono::duration<double, std::nano> untimed{0};
+  size_t bytes = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const auto pause = std::chrono::steady_clock::now();
+    storage.SaveSnapshot(++idx, 1, std::vector<uint8_t>(), [&]() { return svc->Freeze(); });
+    RunIntervalInserts(svc.get(), inserts, rng);
+    bytes += disk.Size("snapshot");
+    untimed += std::chrono::steady_clock::now() - pause;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(disk.Read("snapshot").data());
+    benchmark::ClobberMemory();
+  }
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start - untimed;
+  state.counters["ns_per_MiB"] = elapsed.count() / (static_cast<double>(bytes) / (1 << 20));
+  state.SetBytesProcessed(static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_KvMaterializeFrozen21MiB)->Unit(benchmark::kMillisecond);
 
 void BM_KvSnapshotViaSnapshotState21MiB(benchmark::State& state) {
   Simulator sim;
@@ -281,10 +347,9 @@ void BM_KvSnapshotViaSnapshotState21MiB(benchmark::State& state) {
   StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
   const std::unique_ptr<KvService> svc = YcsbPreloadedKv();
   LogIndex idx = 0;
-  TimePerMiB(state, 16 + svc->store().SerializedSize(), [&]() {
+  TimePerMiB(state, svc->SnapshotSize(), [&]() {
     const Body image = svc->SnapshotState();
-    storage.BeginSnapshot(++idx, 1, image.size())->PutBytes(image.bytes());
-    storage.FinishSnapshot();
+    storage.SaveSnapshot(++idx, 1, std::vector<uint8_t>(image.begin(), image.end()));
     benchmark::DoNotOptimize(disk.Read("snapshot").data());
     benchmark::ClobberMemory();
   });

@@ -215,6 +215,26 @@ void KvService::SnapshotTo(SnapshotSink& sink) const {
   store_.SerializeTo(*w);
 }
 
+std::unique_ptr<FrozenImage> KvService::Freeze() {
+  class Image final : public FrozenImage {
+   public:
+    Image(uint64_t applied, uint64_t digest, std::unique_ptr<KvStore::Frozen> store)
+        : applied_(applied), digest_(digest), store_(std::move(store)) {}
+    size_t size() const override { return 8 + 8 + store_->size(); }
+    void WriteTo(BufferWriter* w) const override {
+      w->PutU64(applied_);
+      w->PutU64(digest_);
+      store_->WriteTo(w);
+    }
+
+   private:
+    uint64_t applied_;
+    uint64_t digest_;
+    std::unique_ptr<KvStore::Frozen> store_;
+  };
+  return std::make_unique<Image>(applied_, mutation_digest_, store_.Freeze());
+}
+
 Status KvService::RestoreState(const Body& snapshot) {
   if (snapshot == nullptr) {
     return InvalidArgumentError("null snapshot");

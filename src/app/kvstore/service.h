@@ -11,6 +11,7 @@
 #define SRC_APP_KVSTORE_SERVICE_H_
 
 #include <cstdint>
+#include <memory>
 
 #include "src/app/kvstore/command.h"
 #include "src/app/kvstore/store.h"
@@ -41,6 +42,9 @@ class KvService final : public StateMachine {
   Status RestoreState(const Body& snapshot) override;
   void SnapshotTo(SnapshotSink& sink) const override;
   size_t SnapshotSize() const override { return 8 + 8 + store_.SerializedSize(); }
+  // Records the apply count and mutation digest and freezes the store
+  // (KvStore::Freeze) in O(1); the image's bytes are written only by WriteTo.
+  std::unique_ptr<FrozenImage> Freeze() override;
 
   // Shard-move range handoff: keys are selected by ShardSlotOf(key), the
   // same hash the router uses, so a moved range carries exactly the keys

@@ -4,6 +4,7 @@
 #include <charconv>
 
 #include "src/common/buffer.h"
+#include "src/common/check.h"
 
 namespace hovercraft {
 
@@ -53,15 +54,24 @@ const KvStore::Value* KvStore::Find(std::string_view key) const {
   return it == map_.end() ? nullptr : &it->second;
 }
 
-KvStore::Value* KvStore::Find(std::string_view key) {
+KvStore::Elem* KvStore::FindElem(std::string_view key) {
   auto it = map_.find(key);
-  return it == map_.end() ? nullptr : &it->second;
+  return it == map_.end() ? nullptr : &*it;
+}
+
+KvStore::Value& KvStore::Insert(std::string_view key, Value value) {
+  BeforeReshape();
+  return map_.emplace(std::string(key), std::move(value)).first->second;
 }
 
 void KvStore::Set(std::string_view key, std::string_view value) {
-  auto [it, inserted] = map_.try_emplace(std::string(key));
-  entry_bytes_ -= inserted ? 0 : EntryBytes(key, it->second);
-  it->second = StringValue(value);
+  if (Elem* e = FindElem(key); e != nullptr) {
+    entry_bytes_ -= EntryBytes(key, e->second);
+    Preserve(*e);
+    e->second = StringValue(value);
+  } else {
+    Insert(key, StringValue(value));
+  }
   entry_bytes_ += StrBytes(key) + 1 + StrBytes(value);
 }
 
@@ -83,23 +93,26 @@ bool KvStore::Del(std::string_view key) {
     return false;
   }
   entry_bytes_ -= EntryBytes(key, it->second);
+  PreserveErased(*it);
+  BeforeReshape();
   map_.erase(it);
   return true;
 }
 
 Status KvStore::Hset(std::string_view key, std::string_view field, std::string_view value) {
-  Value* v = Find(key);
-  if (v == nullptr) {
+  Elem* e = FindElem(key);
+  if (e == nullptr) {
     HashValue h;
     h.emplace(std::string(field), std::string(value));
-    map_.emplace(std::string(key), std::move(h));
+    Insert(key, std::move(h));
     entry_bytes_ += NewContainerEntryBytes(key, StrBytes(field) + StrBytes(value));
     return Status::Ok();
   }
-  auto* h = std::get_if<HashValue>(v);
+  auto* h = std::get_if<HashValue>(&e->second);
   if (h == nullptr) {
     return FailedPreconditionError("wrong type");
   }
+  Preserve(*e);
   auto [it, inserted] = h->try_emplace(std::string(field));
   entry_bytes_ -= inserted ? 0 : StrBytes(field) + StrBytes(it->second);
   it->second = std::string(value);
@@ -124,18 +137,19 @@ Result<std::string> KvStore::Hget(std::string_view key, std::string_view field) 
 }
 
 Result<size_t> KvStore::Rpush(std::string_view key, std::string_view value) {
-  Value* v = Find(key);
-  if (v == nullptr) {
+  Elem* e = FindElem(key);
+  if (e == nullptr) {
     ListValue l;
     l.emplace_back(value);
-    map_.emplace(std::string(key), std::move(l));
+    Insert(key, std::move(l));
     entry_bytes_ += NewContainerEntryBytes(key, StrBytes(value));
     return size_t{1};
   }
-  auto* l = std::get_if<ListValue>(v);
+  auto* l = std::get_if<ListValue>(&e->second);
   if (l == nullptr) {
     return Result<size_t>(FailedPreconditionError("wrong type"));
   }
+  PreserveAppend(*e);
   l->emplace_back(value);
   entry_bytes_ += StrBytes(value);
   return l->size();
@@ -183,13 +197,13 @@ Result<std::vector<std::string>> KvStore::ScanTail(std::string_view key, int32_t
 
 
 Result<int64_t> KvStore::Incr(std::string_view key) {
-  Value* v = Find(key);
-  if (v == nullptr) {
-    map_.emplace(std::string(key), StringValue("1"));
+  Elem* e = FindElem(key);
+  if (e == nullptr) {
+    Insert(key, StringValue("1"));
     entry_bytes_ += StrBytes(key) + 1 + StrBytes("1");
     return int64_t{1};
   }
-  auto* s = std::get_if<StringValue>(v);
+  auto* s = std::get_if<StringValue>(&e->second);
   if (s == nullptr) {
     return Result<int64_t>(FailedPreconditionError("wrong type"));
   }
@@ -199,6 +213,7 @@ Result<int64_t> KvStore::Incr(std::string_view key) {
     return Result<int64_t>(FailedPreconditionError("value is not an integer"));
   }
   ++current;
+  Preserve(*e);
   entry_bytes_ -= s->size();
   *s = std::to_string(current);
   entry_bytes_ += s->size();
@@ -206,16 +221,17 @@ Result<int64_t> KvStore::Incr(std::string_view key) {
 }
 
 Result<size_t> KvStore::Append(std::string_view key, std::string_view suffix) {
-  Value* v = Find(key);
-  if (v == nullptr) {
-    map_.emplace(std::string(key), StringValue(suffix));
+  Elem* e = FindElem(key);
+  if (e == nullptr) {
+    Insert(key, StringValue(suffix));
     entry_bytes_ += StrBytes(key) + 1 + StrBytes(suffix);
     return suffix.size();
   }
-  auto* s = std::get_if<StringValue>(v);
+  auto* s = std::get_if<StringValue>(&e->second);
   if (s == nullptr) {
     return Result<size_t>(FailedPreconditionError("wrong type"));
   }
+  Preserve(*e);
   s->append(suffix);
   entry_bytes_ += suffix.size();
   return s->size();
@@ -225,17 +241,17 @@ Result<bool> KvStore::Setnx(std::string_view key, std::string_view value) {
   if (Find(key) != nullptr) {
     return false;
   }
-  map_.emplace(std::string(key), StringValue(value));
+  Insert(key, StringValue(value));
   entry_bytes_ += StrBytes(key) + 1 + StrBytes(value);
   return true;
 }
 
 Result<bool> KvStore::Hdel(std::string_view key, std::string_view field) {
-  Value* v = Find(key);
-  if (v == nullptr) {
+  Elem* e = FindElem(key);
+  if (e == nullptr) {
     return NotFoundError("no such key");
   }
-  auto* h = std::get_if<HashValue>(v);
+  auto* h = std::get_if<HashValue>(&e->second);
   if (h == nullptr) {
     return Result<bool>(FailedPreconditionError("wrong type"));
   }
@@ -244,22 +260,24 @@ Result<bool> KvStore::Hdel(std::string_view key, std::string_view field) {
     return false;
   }
   entry_bytes_ -= StrBytes(it->first) + StrBytes(it->second);
+  Preserve(*e);
   h->erase(it);
   return true;
 }
 
 Result<std::string> KvStore::Lpop(std::string_view key) {
-  Value* v = Find(key);
-  if (v == nullptr) {
+  Elem* e = FindElem(key);
+  if (e == nullptr) {
     return NotFoundError("no such key");
   }
-  auto* l = std::get_if<ListValue>(v);
+  auto* l = std::get_if<ListValue>(&e->second);
   if (l == nullptr) {
     return Result<std::string>(FailedPreconditionError("wrong type"));
   }
   if (l->empty()) {
     return NotFoundError("empty list");
   }
+  Preserve(*e);
   std::string out = std::move(l->front());
   l->pop_front();
   entry_bytes_ -= StrBytes(out);
@@ -279,18 +297,19 @@ Result<size_t> KvStore::Llen(std::string_view key) const {
 }
 
 Result<bool> KvStore::Sadd(std::string_view key, std::string_view member) {
-  Value* v = Find(key);
-  if (v == nullptr) {
+  Elem* e = FindElem(key);
+  if (e == nullptr) {
     SetValue set;
     set.emplace(member);
-    map_.emplace(std::string(key), std::move(set));
+    Insert(key, std::move(set));
     entry_bytes_ += NewContainerEntryBytes(key, StrBytes(member));
     return true;
   }
-  auto* set = std::get_if<SetValue>(v);
+  auto* set = std::get_if<SetValue>(&e->second);
   if (set == nullptr) {
     return Result<bool>(FailedPreconditionError("wrong type"));
   }
+  Preserve(*e);  // before the emplace, which is also the membership test
   if (!set->emplace(member).second) {
     return false;
   }
@@ -299,14 +318,15 @@ Result<bool> KvStore::Sadd(std::string_view key, std::string_view member) {
 }
 
 Result<bool> KvStore::Srem(std::string_view key, std::string_view member) {
-  Value* v = Find(key);
-  if (v == nullptr) {
+  Elem* e = FindElem(key);
+  if (e == nullptr) {
     return NotFoundError("no such key");
   }
-  auto* set = std::get_if<SetValue>(v);
+  auto* set = std::get_if<SetValue>(&e->second);
   if (set == nullptr) {
     return Result<bool>(FailedPreconditionError("wrong type"));
   }
+  Preserve(*e);  // before the erase, which is also the membership test
   if (set->erase(std::string(member)) == 0) {
     return false;
   }
@@ -372,7 +392,10 @@ namespace {
 
 enum class ValueTag : uint8_t { kString = 0, kHash = 1, kList = 2, kSet = 3 };
 
-void SerializeEntry(BufferWriter& out, const std::string& key, const KvStore::Value& value) {
+// With `limit`, a list is cut to its first `limit` items (the frozen part of
+// a list that only grew since).
+void SerializeEntry(BufferWriter& out, const std::string& key, const KvStore::Value& value,
+                    size_t limit = SIZE_MAX) {
   out.PutString(key);
   if (const auto* s = std::get_if<KvStore::StringValue>(&value)) {
     out.PutU8(static_cast<uint8_t>(ValueTag::kString));
@@ -386,9 +409,10 @@ void SerializeEntry(BufferWriter& out, const std::string& key, const KvStore::Va
     }
   } else if (const auto* l = std::get_if<KvStore::ListValue>(&value)) {
     out.PutU8(static_cast<uint8_t>(ValueTag::kList));
-    out.PutU64(l->size());
-    for (const std::string& item : *l) {
-      out.PutString(item);
+    const size_t n = std::min(l->size(), limit);
+    out.PutU64(n);
+    for (size_t i = 0; i < n; ++i) {
+      out.PutString((*l)[i]);
     }
   } else if (const auto* set = std::get_if<KvStore::SetValue>(&value)) {
     out.PutU8(static_cast<uint8_t>(ValueTag::kSet));
@@ -499,7 +523,7 @@ Status KvStore::DeserializeFrom(BufferReader& in) {
     }
     fresh.insert_or_assign(std::move(key), std::move(value));
   }
-  map_ = std::move(fresh);
+  ReplaceMap(std::move(fresh));
   entry_bytes_ = 0;
   for (const auto& [key, value] : map_) {
     entry_bytes_ += EntryBytes(key, value);
@@ -533,11 +557,14 @@ Status KvStore::MergeFrom(BufferReader& in) {
     if (Status s = DeserializeEntry(in, key, value); !s.ok()) {
       return s;
     }
-    if (auto old = map_.find(key); old != map_.end()) {
-      entry_bytes_ -= EntryBytes(old->first, old->second);
-    }
     entry_bytes_ += EntryBytes(key, value);
-    map_.insert_or_assign(std::move(key), std::move(value));
+    if (Elem* old = FindElem(key); old != nullptr) {
+      entry_bytes_ -= EntryBytes(old->first, old->second);
+      Preserve(*old);
+      old->second = std::move(value);
+    } else {
+      Insert(key, std::move(value));
+    }
   }
   return Status::Ok();
 }
@@ -547,6 +574,8 @@ size_t KvStore::EraseIf(const KeyPredicate& pred) {
   for (auto it = map_.begin(); it != map_.end();) {
     if (pred(it->first)) {
       entry_bytes_ -= EntryBytes(it->first, it->second);
+      PreserveErased(*it);
+      BeforeReshape();  // records the order as it was: the erases so far kept it
       it = map_.erase(it);
       ++erased;
     } else {
@@ -554,6 +583,132 @@ size_t KvStore::EraseIf(const KeyPredicate& pred) {
     }
   }
   return erased;
+}
+
+// --- Freeze ------------------------------------------------------------------
+
+KvStore::KvStore(KvStore&& other) noexcept
+    : map_(std::move(other.map_)), entry_bytes_(other.entry_bytes_) {
+  HC_CHECK(other.freeze_ == nullptr);  // the freeze points into the moved map
+  other.map_.clear();
+  other.entry_bytes_ = 0;
+}
+
+KvStore& KvStore::operator=(KvStore other) {
+  ReplaceMap(std::move(other.map_));
+  entry_bytes_ = other.entry_bytes_;
+  return *this;
+}
+
+void KvStore::ReplaceMap(Map fresh) {
+  if (freeze_ != nullptr && !freeze_->retired_) {
+    // The old map holds the frozen elements the undo log never saved. It is
+    // not changed again, so nothing the new contents do concerns the freeze.
+    freeze_->retired_map_ = std::move(map_);
+    freeze_->retired_ = true;
+  }
+  map_ = std::move(fresh);
+}
+
+KvStore::~KvStore() {
+  if (freeze_ != nullptr) {
+    freeze_->store_ = nullptr;
+  }
+}
+
+std::unique_ptr<KvStore::Frozen> KvStore::Freeze() {
+  HC_CHECK(freeze_ == nullptr);  // at most one live freeze
+  std::unique_ptr<Frozen> frozen(new Frozen(this));
+  freeze_ = frozen.get();
+  return frozen;
+}
+
+KvStore::Frozen::Frozen(KvStore* store)
+    : store_(store), count_(store->map_.size()), size_(store->SerializedSize()) {}
+
+KvStore::Frozen::~Frozen() {
+  if (store_ != nullptr) {
+    store_->freeze_ = nullptr;
+  }
+}
+
+void KvStore::Frozen::Save(const Elem& e, Value value) {
+  Undo& undo = undo_[&e];
+  if (undo.prefix != Undo::kWhole) {
+    // Only appends happened since the freeze: drop them.
+    std::get<ListValue>(value).resize(undo.prefix);
+  }
+  undo.saved = std::make_unique<const Elem>(e.first, std::move(value));
+}
+
+void KvStore::Preserve(const Elem& e) {
+  if (freeze_ == nullptr) {
+    return;
+  }
+  const auto it = freeze_->undo_.find(&e);
+  if (it == freeze_->undo_.end() || it->second.saved == nullptr) {
+    // A copy of an unordered container iterates in the source's order
+    // (libstdc++ copies node by node), so the saved value serializes as the
+    // frozen one did; kvstore_test's freeze fuzz test pins that.
+    freeze_->Save(e, e.second);
+  }
+}
+
+void KvStore::PreserveAppend(const Elem& e) {
+  if (freeze_ == nullptr) {
+    return;
+  }
+  const auto [it, first] = freeze_->undo_.try_emplace(&e);
+  if (first) {
+    it->second.prefix = std::get<ListValue>(e.second).size();
+  }
+}
+
+void KvStore::PreserveErased(Elem& e) {
+  if (freeze_ == nullptr) {
+    return;
+  }
+  const auto it = freeze_->undo_.find(&e);
+  if (it == freeze_->undo_.end() || it->second.saved == nullptr) {
+    freeze_->Save(e, std::move(e.second));  // the element is about to go
+  }
+}
+
+void KvStore::BeforeReshape() {
+  if (freeze_ == nullptr || freeze_->ordered_ || freeze_->retired_) {
+    return;
+  }
+  freeze_->order_.reserve(map_.size());
+  for (const Elem& e : map_) {
+    freeze_->order_.push_back(&e);
+  }
+  freeze_->ordered_ = true;
+}
+
+void KvStore::Frozen::WriteTo(BufferWriter* w) const {
+  HC_CHECK(store_ != nullptr);  // the unsaved elements died with the store
+  const size_t start = w->size();
+  w->PutU64(count_);
+  auto put = [this, w](const Elem* e) {
+    const auto it = undo_.find(e);
+    if (it == undo_.end()) {
+      SerializeEntry(*w, e->first, e->second);
+    } else if (it->second.saved != nullptr) {
+      SerializeEntry(*w, it->second.saved->first, it->second.saved->second);
+    } else {
+      SerializeEntry(*w, e->first, e->second, it->second.prefix);
+    }
+  };
+  if (ordered_) {
+    for (const Elem* e : order_) {
+      put(e);
+    }
+  } else {
+    for (const Elem& e : retired_ ? retired_map_ : store_->map_) {
+      put(&e);
+    }
+  }
+  HC_CHECK_EQ(w->size() - start, size_);
 }
 
 }  // namespace hovercraft

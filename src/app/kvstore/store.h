@@ -5,8 +5,10 @@
 #define SRC_APP_KVSTORE_STORE_H_
 
 #include <cstdint>
+#include <cstddef>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -21,6 +23,17 @@ namespace hovercraft {
 
 class KvStore {
  public:
+  class Frozen;
+
+  KvStore() = default;
+  // A copy or a move takes the contents, never the freeze (Freeze below): a
+  // store with a live freeze may be copied but not moved from, and one that
+  // is assigned to hands its old contents to its freeze.
+  KvStore(const KvStore& other) : map_(other.map_), entry_bytes_(other.entry_bytes_) {}
+  KvStore(KvStore&& other) noexcept;
+  KvStore& operator=(KvStore other);
+  ~KvStore();
+
   using StringValue = std::string;
   using HashValue = std::unordered_map<std::string, std::string>;
   using ListValue = std::deque<std::string>;
@@ -93,10 +106,17 @@ class KvStore {
   // Removes all keys matching `pred`; returns how many were erased.
   size_t EraseIf(const KeyPredicate& pred);
 
- private:
-  const Value* Find(std::string_view key) const;
-  Value* Find(std::string_view key);
+  // --- Freeze: SerializeTo's image as of now, written later, in O(1). The
+  // freeze arms an undo log: right before the first change of a key, the
+  // key and its value are saved, except that appends (Rpush, Append) only
+  // note the length they grow from. Right before the first insert or erase,
+  // which can reorder the map, the iteration order is recorded, one element
+  // pointer per key. Frozen::WriteTo then writes exactly the bytes
+  // SerializeTo would have written at the freeze. A store has at most one
+  // live freeze; it ends when the handle is destroyed. ---
+  std::unique_ptr<Frozen> Freeze();
 
+ private:
   // Heterogeneous lookup so string_view probes do not allocate.
   struct Hash {
     using is_transparent = void;
@@ -106,10 +126,77 @@ class KvStore {
     using is_transparent = void;
     bool operator()(std::string_view a, std::string_view b) const { return a == b; }
   };
+  using Map = std::unordered_map<std::string, Value, Hash, Eq>;
+  using Elem = Map::value_type;
 
-  std::unordered_map<std::string, Value, Hash, Eq> map_;
+  const Value* Find(std::string_view key) const;
+  Elem* FindElem(std::string_view key);
+  // Inserts a key known to be absent.
+  Value& Insert(std::string_view key, Value value);
+  // Hooks of the live freeze, if any. Every mutator calls Preserve right
+  // before it changes an existing value (PreserveAppend if it only appends
+  // to a list), PreserveErased right before it erases one, and
+  // BeforeReshape right before it inserts or erases a key.
+  void Preserve(const Elem& e);
+  void PreserveAppend(const Elem& e);
+  void PreserveErased(Elem& e);
+  void BeforeReshape();
+  // Makes `fresh` the contents. A live freeze that still needs elements of
+  // the old map takes it whole: moving a map keeps every element in place.
+  void ReplaceMap(Map fresh);
+
+  Map map_;
   // Serialized bytes of every entry in map_ (SerializedSize minus the count).
   size_t entry_bytes_ = 0;
+  Frozen* freeze_ = nullptr;  // the live freeze, owned by its handle
+};
+
+// A frozen store image (KvStore::Freeze). The handle may outlive the store,
+// but WriteTo after the store is gone fails an HC_CHECK.
+class KvStore::Frozen {
+ public:
+  Frozen(const Frozen&) = delete;
+  Frozen& operator=(const Frozen&) = delete;
+  ~Frozen();
+
+  // Exact number of bytes WriteTo appends: SerializedSize() at the freeze.
+  size_t size() const { return size_; }
+  void WriteTo(BufferWriter* w) const;
+
+ private:
+  friend class KvStore;
+  explicit Frozen(KvStore* store);
+
+  // An element's value as it was at the freeze, once it changed.
+  struct Undo {
+    static constexpr size_t kWhole = SIZE_MAX;
+    // The element's key and value at the freeze; null while the value is a
+    // list that has only grown by appends, of which the first `prefix` items
+    // are the frozen value.
+    std::unique_ptr<const Elem> saved;
+    size_t prefix = kWhole;
+  };
+
+  // Saves `value` (e's value at the freeze, or more if only appends grew it)
+  // as e's undo record.
+  void Save(const Elem& e, Value value);
+
+  KvStore* store_;  // null once the store is destroyed
+  size_t count_;    // keys at the freeze
+  size_t size_;
+  // Keyed by element address. An element is saved whole before it is
+  // erased, so a key inserted later at a reused address finds that record
+  // complete and leaves it alone. Keys inserted after the freeze get records
+  // too; WriteTo visits only the frozen addresses.
+  std::unordered_map<const Elem*, Undo> undo_;
+  // The iteration order at the freeze, recorded before the first insert or
+  // erase; until then the map itself still iterates in that order.
+  bool ordered_ = false;
+  std::vector<const Elem*> order_;
+  // The map DeserializeFrom (or an assignment) replaced while this freeze
+  // was live: it still owns the frozen elements never saved.
+  bool retired_ = false;
+  Map retired_map_;
 };
 
 }  // namespace hovercraft

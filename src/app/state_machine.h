@@ -14,9 +14,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 
 #include "src/common/buffer.h"
 #include "src/common/check.h"
+#include "src/common/frozen_image.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
 #include "src/r2p2/messages.h"
@@ -30,8 +32,8 @@ struct ExecResult {
 
 // Destination of one snapshot image (StateMachine::SnapshotTo). Begin is
 // called once with the image's exact size and returns the writer the image
-// goes into — for a local snapshot, the snapshot file's own buffer, already
-// holding the server's prefix.
+// goes into — for an InstallSnapshot capture, the transfer body's buffer,
+// already holding the server's prefix.
 class SnapshotSink {
  public:
   virtual BufferWriter* Begin(size_t image_bytes) = 0;
@@ -63,8 +65,10 @@ class StateMachine {
 
   // Writes the SnapshotState() image straight into `sink`: calls
   // sink.Begin(n) exactly once with the image's exact size n, then writes
-  // exactly n bytes into the returned writer. Every snapshot the server
-  // takes goes through this call. The default serializes through
+  // exactly n bytes into the returned writer. The server's InstallSnapshot
+  // capture (ReplicatedServer::CaptureSnapshot) and SnapshotBody (so the
+  // default Freeze, SnapshotSize and the genesis image) go through this
+  // call; local snapshots are taken by Freeze. The default serializes through
   // SnapshotState() once and copies the bytes, so a wrapper that overrides
   // only SnapshotState() stays correct. An app that overrides SnapshotTo
   // implements SnapshotState() as SnapshotBody(*this); it must not leave
@@ -74,6 +78,14 @@ class StateMachine {
   // image once to measure it; an app that tracks its image size answers in
   // O(1).
   virtual size_t SnapshotSize() const;
+  // The SnapshotTo image as of now, as a handle whose bytes are written only
+  // if WriteTo is called; later Execute/RestoreState/shard calls do not
+  // change them. Every local snapshot the server persists is taken here.
+  // The default is eager: it serializes through SnapshotState() at once, so
+  // a wrapper that overrides only SnapshotState() stays correct. An app may
+  // allow at most one live handle at a time (KvService does); the server
+  // destroys the previous one before it takes the next.
+  virtual std::unique_ptr<FrozenImage> Freeze();
 
   // --- Shard-move range handoff (src/shard, docs/sharding.md). A live shard
   // move freezes a slot range at the source group, captures exactly that
@@ -121,6 +133,9 @@ void WriteSnapshot(const StateMachine& app, BeginFn&& begin) {
 
 // The SnapshotTo image in a heap Body of exactly its size.
 Body SnapshotBody(const StateMachine& app);
+
+// An image that is already bytes: holds a reference to `body`, no copy.
+std::unique_ptr<FrozenImage> FreezeBody(Body body);
 
 }  // namespace hovercraft
 

@@ -28,8 +28,21 @@ inline CheckFailureHook SetCheckFailureHook(CheckFailureHook hook) {
   return previous;
 }
 
+// The part of a __FILE__ path after its last '/': failure and log lines name
+// the source file, not where the checkout happens to live.
+constexpr const char* SourceBasename(const char* path) {
+  const char* base = path;
+  for (const char* p = path; *p != '\0'; ++p) {
+    if (*p == '/') {
+      base = p + 1;
+    }
+  }
+  return base;
+}
+
+// Prints "CHECK failed: <expr> at <file basename>:<line>".
 [[noreturn]] inline void CheckFailed(const char* expr, const char* file, int line) {
-  std::fprintf(stderr, "CHECK failed: %s at %s:%d\n", expr, file, line);
+  std::fprintf(stderr, "CHECK failed: %s at %s:%d\n", expr, SourceBasename(file), line);
   CheckFailureHook& slot = CheckFailureHookSlot();
   if (slot != nullptr) {
     CheckFailureHook hook = slot;

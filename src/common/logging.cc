@@ -1,5 +1,7 @@
 #include "src/common/logging.h"
 
+#include "src/common/check.h"
+
 namespace hovercraft {
 namespace {
 
@@ -27,8 +29,8 @@ LogLevel GetLogLevel() { return g_level; }
 
 void SetLogLevel(LogLevel level) { g_level = level; }
 
-void LogMessage(LogLevel level, const char* file, int line, const char* format, ...) {
-  std::fprintf(stderr, "[%s %s:%d] ", LevelTag(level), file, line);
+void LogMessage(LogLevel level, const char* file, const char* format, ...) {
+  std::fprintf(stderr, "[%s %s] ", LevelTag(level), SourceBasename(file));
   va_list args;
   va_start(args, format);
   std::vfprintf(stderr, format, args);

@@ -20,15 +20,18 @@ enum class LogLevel : int {
 LogLevel GetLogLevel();
 void SetLogLevel(LogLevel level);
 
-void LogMessage(LogLevel level, const char* file, int line, const char* format, ...)
-    __attribute__((format(printf, 4, 5)));
+// Prints "[<level> <file basename>] <message>" to stderr. The line carries
+// no directory and no line number, so the logs of one run compare equal
+// across checkouts and across edits that move a log site.
+void LogMessage(LogLevel level, const char* file, const char* format, ...)
+    __attribute__((format(printf, 3, 4)));
 
 }  // namespace hovercraft
 
 #define HC_LOG(level, ...)                                                            \
   do {                                                                                \
     if (static_cast<int>(level) >= static_cast<int>(::hovercraft::GetLogLevel())) {   \
-      ::hovercraft::LogMessage(level, __FILE__, __LINE__, __VA_ARGS__);               \
+      ::hovercraft::LogMessage(level, __FILE__, __VA_ARGS__);                         \
     }                                                                                 \
   } while (0)
 

@@ -140,25 +140,21 @@ void ReplicatedServer::Restart() {
 }
 
 void ReplicatedServer::PersistLocalSnapshot() {
-  // Blob layout: [config prefix][sessions][shard][app bytes] — the config
-  // prefix, then the same body CaptureSnapshot() would build, written in one
-  // pass straight into the snapshot file's own buffer once the app has named
-  // its image size. The membership config rides along so a recovered node
-  // whose whole log was compacted away still knows who its peers are.
+  // Blob layout: [config prefix][sessions][shard][app image] — the config
+  // prefix, then the same body CaptureSnapshot() would build. The prefix is
+  // serialized now; the app image is frozen (StateMachine::Freeze) and its
+  // bytes are written only if something reads the file. The membership
+  // config rides along so a recovered node whose whole log was compacted
+  // away still knows who its peers are.
   const LogIndex idx = apply_cursor_;
   const Term term = idx == 0 ? 0 : raft_->log().TermAt(idx);
   auto [config_idx, config] = raft_->ConfigCoveringIndex(idx);
-  WriteSnapshot(*app_, [&](size_t app_bytes) {
-    BufferWriter* w = storage_->BeginSnapshot(
-        idx, term,
-        ConfigPrefixSize(config.get()) + sessions_.SerializedSize() + shard_.SerializedSize() +
-            app_bytes);
-    PutConfigPrefix(config.get(), config_idx, w);
-    sessions_.Serialize(w);
-    shard_.Serialize(w);
-    return w;
-  });
-  storage_->FinishSnapshot();
+  BufferWriter prefix(ConfigPrefixSize(config.get()) + sessions_.SerializedSize() +
+                      shard_.SerializedSize());
+  PutConfigPrefix(config.get(), config_idx, &prefix);
+  sessions_.Serialize(&prefix);
+  shard_.Serialize(&prefix);
+  storage_->SaveSnapshot(idx, term, prefix.TakeBytes(), [this]() { return app_->Freeze(); });
   local_snapshot_idx_ = idx;
 }
 
@@ -1017,10 +1013,7 @@ void ReplicatedServer::RestoreSnapshot(const Body& state, LogIndex last_included
   HC_CHECK(sessions_ok.ok());
   const Status shard_ok = shard_.Restore(&r);
   HC_CHECK(shard_ok.ok());
-  std::vector<uint8_t> app_bytes;
-  const Status app_ok = r.GetBytes(r.remaining(), app_bytes);
-  HC_CHECK(app_ok.ok());
-  const Status status = app_->RestoreState(MakeBody(std::move(app_bytes)));
+  const Status status = app_->RestoreState(state.Slice(r.position(), r.remaining()));
   HC_CHECK(status.ok());
   ++stats_.snapshots_restored;
   if (last_included > apply_cursor_) {
@@ -1029,12 +1022,12 @@ void ReplicatedServer::RestoreSnapshot(const Body& state, LogIndex last_included
   if (storage_ != nullptr) {
     // Persist the received image before the raft layer journals the covering
     // truncate/compact records: a power fail right after the compact must
-    // still find a snapshot at least as new as the new log base.
-    BufferWriter* w = storage_->BeginSnapshot(last_included, included_term,
-                                              ConfigPrefixSize(config.get()) + state->size());
-    PutConfigPrefix(config.get(), config_idx, w);
-    w->PutBytes(*state);
-    storage_->FinishSnapshot();
+    // still find a snapshot at least as new as the new log base. The file
+    // keeps a reference to the received body, not a copy.
+    BufferWriter prefix(ConfigPrefixSize(config.get()));
+    PutConfigPrefix(config.get(), config_idx, &prefix);
+    storage_->SaveSnapshot(last_included, included_term, prefix.TakeBytes(),
+                           [&state]() { return FreezeBody(state); });
     local_snapshot_idx_ = std::max(local_snapshot_idx_, last_included);
   }
 }

@@ -244,13 +244,16 @@ class ReplicatedServer final : public Host, public RaftNode::Env {
   void ArmGcTimer();
   void ArmCompactionTimer();
   void CompactNow();
-  // Writes the local snapshot (config + sessions + app state through
-  // apply_cursor_) to the disk; the durable floor WAL replay restarts from.
+  // Persists the local snapshot (config + sessions + app state through
+  // apply_cursor_, the app state frozen); the durable floor WAL replay
+  // restarts from.
   void PersistLocalSnapshot();
   // Post-power-fail recovery: WAL replay + snapshot reload + raft restart.
   void RecoverFromStorage();
 
   ServerConfig config_;
+  // Declared before disk_: the snapshot file's pending record holds a freeze
+  // of app_'s state (StateMachine::Freeze), so the disk must go first.
   std::unique_ptr<StateMachine> app_;
   // Simulated durable media + WAL (replicated modes only); declared before
   // raft_ so storage outlives the node that writes to it.

@@ -24,17 +24,6 @@ void SimDisk::RecordFsyncLatency(TimeNs latency) {
   o->metrics().GetHistogram(fsync_metric_).Record(latency);
 }
 
-size_t SimDisk::Append(const std::string& file, const uint8_t* data, size_t len) {
-  File& f = files_[file];
-  Materialize(f);  // these bytes go after every pending record
-  const size_t offset = f.data.size();
-  f.data.insert(f.data.end(), data, data + len);
-  f.length = f.data.size();
-  ++stats_.appends;
-  stats_.bytes_written += len;
-  return offset;
-}
-
 void SimDisk::Materialize(const File& f) const {
   if (f.pending.empty()) {
     return;
@@ -54,12 +43,7 @@ void SimDisk::Cut(File& f, size_t size) {
   f.length = f.data.size();
 }
 
-void SimDisk::CheckNotRewriting(const std::string& file) const {
-  HC_CHECK(rewriting_.empty() || file != rewriting_);
-}
-
 void SimDisk::Truncate(const std::string& file, size_t size) {
-  CheckNotRewriting(file);
   auto it = files_.find(file);
   if (it == files_.end()) {
     return;
@@ -69,35 +53,7 @@ void SimDisk::Truncate(const std::string& file, size_t size) {
   f.synced = std::min(f.synced, f.length);
 }
 
-void SimDisk::WriteAndSync(const std::string& file, std::vector<uint8_t> bytes) {
-  File& f = files_[file];
-  if (file == rewriting_) {
-    HC_CHECK(f.data.empty());  // nothing was appended to the fenced file
-    rewriting_.clear();
-  }
-  stats_.bytes_written += bytes.size();
-  ++stats_.appends;
-  f.pending.Clear();
-  f.data = std::move(bytes);
-  f.length = f.data.size();
-  f.synced = f.length;
-}
-
-std::vector<uint8_t> SimDisk::BeginRewrite(const std::string& file) {
-  HC_CHECK(rewriting_.empty());  // one rewrite at a time
-  File& f = files_[file];
-  std::vector<uint8_t> buffer = std::move(f.data);
-  f.data.clear();  // a moved-from vector is valid but unspecified
-  f.pending.Clear();
-  f.length = 0;
-  f.synced = 0;
-  rewriting_ = file;
-  buffer.clear();
-  return buffer;
-}
-
 void SimDisk::Delete(const std::string& file) {
-  CheckNotRewriting(file);
   files_.erase(file);  // pending records are dropped unencoded
 }
 
@@ -201,7 +157,6 @@ void SimDisk::MarkAllSynced() {
 }
 
 void SimDisk::Crash() {
-  HC_CHECK(rewriting_.empty());
   ++stats_.crashes;
   const bool torn = next_crash_torn_;
   next_crash_torn_ = false;
@@ -229,7 +184,6 @@ void SimDisk::Crash() {
 }
 
 bool SimDisk::FlipByte(const std::string& file, size_t offset) {
-  CheckNotRewriting(file);
   auto it = files_.find(file);
   if (it == files_.end() || offset >= it->second.length) {
     return false;
@@ -242,7 +196,6 @@ bool SimDisk::FlipByte(const std::string& file, size_t offset) {
 
 const std::vector<uint8_t>& SimDisk::Read(const std::string& file) const {
   static const std::vector<uint8_t> kEmpty;
-  CheckNotRewriting(file);
   auto it = files_.find(file);
   if (it == files_.end()) {
     return kEmpty;
@@ -257,7 +210,6 @@ size_t SimDisk::Size(const std::string& file) const {
 }
 
 size_t SimDisk::SyncedSize(const std::string& file) const {
-  CheckNotRewriting(file);
   auto it = files_.find(file);
   return it == files_.end() ? 0 : it->second.synced;
 }

@@ -15,13 +15,14 @@
 // and every pending sync callback dies with the process, so nothing can ack
 // from the grave. FlipByte models media corruption of already-durable bytes.
 //
-// Deferred writes (AppendDeferred) declare their exact length at append time
-// and produce their bytes only when something first observes the file: Read,
-// FlipByte, Truncate or Crash. Until then a file is its materialized bytes
-// followed by pending records, and every size, durability watermark, flush
-// frontier, crash draw and counter works on that logical length, so nothing
-// observable depends on when the bytes were produced. A file deleted before
-// anything observed it never produces them (docs/durability.md, "WAL write
+// Every write is deferred (AppendDeferred, Replace): it declares its exact
+// length at write time and produces its bytes only when something first
+// observes the file: Read, FlipByte, Truncate or Crash. Until then a file is
+// its materialized bytes followed by pending records, and every size,
+// durability watermark, flush frontier, crash draw and counter works on that
+// logical length, so nothing observable depends on when the bytes were
+// produced. A file deleted or replaced before anything observed it never
+// produces them (docs/durability.md, "WAL write path" and "Snapshot write
 // path").
 #ifndef SRC_STORAGE_SIM_DISK_H_
 #define SRC_STORAGE_SIM_DISK_H_
@@ -94,23 +95,24 @@ class SimDisk {
     stats_.bytes_written += len;
     return offset;
   }
-  // Returns the offset in `file` at which the data starts. By-name append of
-  // raw bytes, used by tests; StableStorage appends through AppendDeferred.
-  size_t Append(const std::string& file, const uint8_t* data, size_t len);
+  // Atomic replace-and-sync, the simulated write-to-temp + rename idiom used
+  // for snapshot files. The old content goes first, pending records
+  // unencoded, so whatever they hold is released before `make()` runs;
+  // make() then returns the new content as one deferred record, an encoder
+  // with size() (its exact length), which is durable at once. Counted as one
+  // append of that length.
+  template <typename Make>
+  void Replace(File* file, Make&& make) {
+    file->pending.Clear();
+    std::vector<uint8_t>().swap(file->data);  // no buffer held for the new record
+    file->length = 0;
+    auto encode = make();
+    const size_t len = encode.size();
+    AppendDeferred(file, len, std::move(encode));
+    file->synced = file->length;
+  }
   // Truncates `file` to `size` bytes (clamping the durable watermark too).
   void Truncate(const std::string& file, size_t size);
-  // Atomic replace-and-sync, the simulated write-to-temp + rename idiom used
-  // for snapshot files: after the call the whole content is durable. Ends a
-  // rewrite of `file` opened by BeginRewrite.
-  void WriteAndSync(const std::string& file, std::vector<uint8_t> bytes);
-  // Starts an in-place rewrite: returns `file`'s buffer, emptied but with its
-  // capacity, for the caller to fill and hand back through WriteAndSync. The
-  // old content is gone from here on, so the replace stays atomic only
-  // because nothing sees the file in between: until WriteAndSync, every
-  // access to it (and a crash) fails an HC_CHECK. Append and Size, the calls
-  // every WAL record makes, carry no check; WriteAndSync checks instead that
-  // nothing was appended.
-  std::vector<uint8_t> BeginRewrite(const std::string& file);
   void Delete(const std::string& file);
 
   // --- durability -----------------------------------------------------------
@@ -139,10 +141,7 @@ class SimDisk {
   TimeNs stall() const { return stall_; }
 
   // --- reads ----------------------------------------------------------------
-  bool Exists(const std::string& file) const {
-    CheckNotRewriting(file);
-    return files_.count(file) != 0;
-  }
+  bool Exists(const std::string& file) const { return files_.count(file) != 0; }
   const std::vector<uint8_t>& Read(const std::string& file) const;
   size_t Size(const std::string& file) const;
   size_t Size(const File* file) const { return file->length; }
@@ -171,9 +170,6 @@ class SimDisk {
     std::vector<SyncCallback> callbacks;
   };
 
-  // Fails an HC_CHECK when `file` is being rewritten (BeginRewrite).
-  void CheckNotRewriting(const std::string& file) const;
-
   // Request-to-completion barrier latency (queueing included) into the
   // per-node "storage.fsync_ns" histogram; no-op without observability.
   void RecordFsyncLatency(TimeNs latency);
@@ -196,7 +192,6 @@ class SimDisk {
   std::string fsync_metric_;  // cached histogram name, built on first record
 
   std::map<std::string, File> files_;
-  std::string rewriting_;  // the file between BeginRewrite and WriteAndSync
   std::deque<FlushOp> queue_;
   bool flush_running_ = false;
   EventId flush_event_ = kInvalidEvent;

@@ -14,7 +14,6 @@ namespace hovercraft {
 
 namespace {
 
-constexpr char kSnapshotFile[] = "snapshot";
 constexpr size_t kSnapshotHeaderBytes = 8 + 8 + 8 + 4;  // checksum, idx, term, len
 // Checksum step while a snapshot is written: small enough that the folded
 // bytes are still in L2, large enough that the hook call is noise.
@@ -265,41 +264,57 @@ void StableStorage::AppendCompact(LogIndex base_idx, Term base_term) {
 }
 
 void StableStorage::SaveSnapshot(LogIndex idx, Term term, std::vector<uint8_t> payload) {
-  BeginSnapshot(idx, term, payload.size())->PutBytes(payload);
-  FinishSnapshot();
+  SaveSnapshot(idx, term, std::move(payload), []() { return std::unique_ptr<FrozenImage>(); });
 }
 
-BufferWriter* StableStorage::BeginSnapshot(LogIndex idx, Term term, size_t payload_bytes) {
-  HC_CHECK_EQ(snapshot_.size(), 0u);  // one snapshot write at a time
-  HC_CHECK_LE(payload_bytes, size_t{UINT32_MAX});
-  snapshot_ = BufferWriter(disk_->BeginRewrite(kSnapshotFile), kSnapshotHeaderBytes + payload_bytes);
-  snapshot_payload_bytes_ = payload_bytes;
-  snapshot_.PutU64(0);  // checksum, patched by FinishSnapshot
-  snapshot_.PutU64(idx);
-  snapshot_.PutU64(static_cast<uint64_t>(term));
-  snapshot_.PutU32(static_cast<uint32_t>(payload_bytes));
+StableStorage::SnapshotRecord::SnapshotRecord(LogIndex idx, Term term,
+                                              std::vector<uint8_t> prefix,
+                                              std::unique_ptr<FrozenImage> image)
+    : idx_(idx), term_(term), prefix_(std::move(prefix)), image_(std::move(image)) {
+  HC_CHECK_LE(size() - kSnapshotHeaderBytes, size_t{UINT32_MAX});
+}
+
+size_t StableStorage::SnapshotRecord::size() const {
+  return kSnapshotHeaderBytes + prefix_.size() + (image_ != nullptr ? image_->size() : 0);
+}
+
+namespace {
+
+// The checksum of a snapshot record as its bytes land in the writer: the
+// writer's progress hook folds whatever arrived since the last step, so the
+// bytes are checksummed while they are still in L2.
+struct SnapshotFold {
+  SnapshotChecksumStream checksum;
+  size_t folded = 0;  // writer offset up to which `checksum` has the bytes
+
+  static size_t Step(void* self, const BufferWriter& w) {
+    auto* fold = static_cast<SnapshotFold*>(self);
+    fold->checksum.Update(std::span<const uint8_t>(w.bytes()).subspan(fold->folded));
+    fold->folded = w.size();
+    return w.size() + kSnapshotFoldBytes;
+  }
+};
+
+}  // namespace
+
+void StableStorage::SnapshotRecord::operator()(BufferWriter* w) const {
+  const size_t start = w->size();
+  w->PutU64(0);  // checksum, patched below
+  w->PutU64(idx_);
+  w->PutU64(static_cast<uint64_t>(term_));
+  w->PutU32(static_cast<uint32_t>(size() - kSnapshotHeaderBytes));
   // The checksum covers everything after its own 8 bytes.
-  snapshot_checksum_ = SnapshotChecksumStream();
-  snapshot_folded_ = 8;
-  snapshot_.SetProgressHook(snapshot_folded_ + kSnapshotFoldBytes, &StableStorage::FoldSnapshot,
-                            this);
-  return &snapshot_;
-}
-
-size_t StableStorage::FoldSnapshot(void* self, const BufferWriter& w) {
-  auto* s = static_cast<StableStorage*>(self);
-  s->snapshot_checksum_.Update(std::span<const uint8_t>(w.bytes()).subspan(s->snapshot_folded_));
-  s->snapshot_folded_ = w.size();
-  return w.size() + kSnapshotFoldBytes;
-}
-
-void StableStorage::FinishSnapshot() {
-  HC_CHECK_EQ(snapshot_.size() - kSnapshotHeaderBytes, snapshot_payload_bytes_);  // exact
-  snapshot_.ClearProgressHook();
-  FoldSnapshot(this, snapshot_);
-  snapshot_.PatchU64(0, snapshot_checksum_.Finish());
-  disk_->WriteAndSync(kSnapshotFile, snapshot_.TakeBytes());
-  ++stats_.snapshots_saved;
+  SnapshotFold fold;
+  fold.folded = start + 8;
+  w->SetProgressHook(fold.folded + kSnapshotFoldBytes, &SnapshotFold::Step, &fold);
+  w->PutBytes(prefix_);
+  if (image_ != nullptr) {
+    image_->WriteTo(w);
+  }
+  w->ClearProgressHook();
+  HC_CHECK_EQ(w->size() - start, size());  // the image wrote exactly its size
+  SnapshotFold::Step(&fold, *w);
+  w->PatchU64(start, fold.checksum.Finish());
 }
 
 bool StableStorage::Sync(SimDisk::SyncCallback cb) {

@@ -8,15 +8,18 @@
 //               layer keeps only the (index, term, replier) envelope it needs
 //               for replay, truncation, and corruption targeting.
 //   snapshot    the latest local state snapshot (session table + application
-//               state blob), written atomically via WriteAndSync. Framing is
-//               [u64 checksum][u64 idx][u64 term][u32 len][payload]; the
+//               state blob), replaced atomically (SimDisk::Replace). Framing
+//               is [u64 checksum][u64 idx][u64 term][u32 len][payload]; the
 //               checksum (SnapshotChecksum) covers everything after itself.
 //
 // Every WAL record is appended as a SimDisk deferred record: its exact size
 // is known and counted at append time, and its bytes (header, CRC, envelope
 // and payload) are produced only when a read, a fault or recovery first
 // observes the segment (docs/durability.md, "WAL write path"). A segment
-// compacted away before that is never encoded.
+// compacted away before that is never encoded. The snapshot file is one
+// deferred record the same way: its payload ends in a frozen app image, and
+// a snapshot replaced before anything read it is never encoded ("Snapshot
+// write path").
 //
 // Durability discipline: records land in the volatile tail; Sync() runs a
 // barrier priced by persist_latency under the configured FsyncPolicy. Hard
@@ -43,11 +46,15 @@
 #include <concepts>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/common/buffer.h"
+#include "src/common/frozen_image.h"
 #include "src/common/types.h"
 #include "src/storage/fsync_policy.h"
 #include "src/storage/sim_disk.h"
@@ -159,35 +166,28 @@ class StableStorage {
   // A payload already in bytes: the pending record owns a copy of them.
   void AppendEntry(LogIndex idx, Term term, NodeId replier,
                    std::span<const uint8_t> payload);
-  // `encode` runs now, into a scratch buffer; the record then owns a copy of
-  // its bytes. Kept for StableStorage.GoldenWalBytes, which pins the encoded
-  // bytes through it; the node uses the sized-encoder overload above.
-  template <typename EncodePayload>
-    requires std::invocable<EncodePayload&, BufferWriter*>
-  void AppendEntry(LogIndex idx, Term term, NodeId replier, EncodePayload&& encode) {
-    BufferWriter w;
-    encode(&w);
-    const size_t payload_bytes = w.size();
-    AppendEntry(idx, term, replier, payload_bytes,
-                [bytes = w.TakeBytes()](BufferWriter* out) { out->PutBytes(bytes); });
-  }
   void AppendAnnounce(LogIndex idx, NodeId replier);
   void AppendTruncate(LogIndex from);
   // Logical prefix compaction; drops whole WAL segments that fell below the
   // new base. Callers persist a covering snapshot first.
   void AppendCompact(LogIndex base_idx, Term base_term);
-  // Atomically replaces the local snapshot (synced inline). A thin wrapper
-  // over BeginSnapshot/FinishSnapshot.
+  // Atomically replaces the local snapshot (synced inline); its payload is
+  // `prefix` followed by the image `freeze()` returns (null for none). The
+  // file is one deferred record: header, prefix and image are written, and
+  // the checksum folded over them, only when a read, a fault or recovery
+  // first observes it. The previous snapshot goes first, unencoded, so its
+  // image is released before freeze() runs: an app that allows one live
+  // freeze at a time (KvService) can take the next one there.
+  template <typename Freeze>
+    requires std::is_invocable_r_v<std::unique_ptr<FrozenImage>, Freeze&>
+  void SaveSnapshot(LogIndex idx, Term term, std::vector<uint8_t> prefix, Freeze&& freeze) {
+    disk_->Replace(disk_->Open(kSnapshotFile), [&]() {
+      return SnapshotRecord(idx, term, std::move(prefix), freeze());
+    });
+    ++stats_.snapshots_saved;
+  }
+  // A payload already in bytes: the pending record owns them.
   void SaveSnapshot(LogIndex idx, Term term, std::vector<uint8_t> payload);
-  // Single-pass snapshot write: BeginSnapshot takes the current snapshot
-  // file's buffer from the disk (SimDisk::BeginRewrite fences the file until
-  // FinishSnapshot hands it back), writes the header with the real length
-  // and returns a writer reserved for exactly `payload_bytes` more; the
-  // caller appends that many bytes, which are checksummed in 64 KiB steps
-  // as they land; FinishSnapshot folds the rest, patches the checksum and
-  // returns the buffer to the disk.
-  BufferWriter* BeginSnapshot(LogIndex idx, Term term, size_t payload_bytes);
-  void FinishSnapshot();
 
   // Durability barrier under the configured policy. Returns true when it
   // completed inline (cb already ran); false when cb runs later, unless the
@@ -227,6 +227,24 @@ class StableStorage {
 
   static constexpr size_t kRecordHeaderBytes = 4 + 1 + 8;  // len, type, crc
   static constexpr size_t kEntryEnvelopeBytes = 8 + 8 + 8;  // idx, term, replier
+  static constexpr char kSnapshotFile[] = "snapshot";
+
+  // The snapshot file's one deferred record: the whole file.
+  class SnapshotRecord {
+   public:
+    SnapshotRecord(LogIndex idx, Term term, std::vector<uint8_t> prefix,
+                   std::unique_ptr<FrozenImage> image);
+    size_t size() const;
+    // Writes the header, the prefix and the image, folding the checksum in
+    // 64 KiB steps as the bytes land, then patches the checksum in place.
+    void operator()(BufferWriter* w) const;
+
+   private:
+    LogIndex idx_;
+    Term term_;
+    std::vector<uint8_t> prefix_;
+    std::unique_ptr<FrozenImage> image_;
+  };
 
   void AddSegment(uint64_t seq);
   // The current segment's file, after rotating to a new segment (with a
@@ -256,9 +274,6 @@ class StableStorage {
   void WriteHardStateRecord();
   void WriteCompactRecord();
   void WriteBaseline();
-  // Progress hook of snapshot_: checksums the bytes written since the last
-  // fold and asks to be called again one fold step later.
-  static size_t FoldSnapshot(void* self, const BufferWriter& w);
 
   void NoteEntryLocation(LogIndex idx, uint64_t seg_seq, size_t offset);
   void ForgetLocationsFrom(LogIndex from);
@@ -276,10 +291,6 @@ class StableStorage {
   LogIndex base_idx_ = 0;
   Term base_term_ = 0;
   bool in_baseline_ = false;
-  BufferWriter snapshot_;  // the snapshot file image between Begin and Finish
-  size_t snapshot_payload_bytes_ = 0;
-  SnapshotChecksumStream snapshot_checksum_;
-  size_t snapshot_folded_ = 0;  // bytes of snapshot_ already in the checksum
 
   // entry_locations_[i] locates index first_location_ + i; corruption
   // targeting only. Pruned by truncation and compaction.

@@ -2,15 +2,44 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/common/buffer.h"
+#include "src/common/check.h"
+#include "src/common/logging.h"
 #include "src/common/random.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
 
 namespace hovercraft {
 namespace {
+
+// ---------------------------------------------------------------------------
+// Logging: lines name the source file, not the checkout's path
+// ---------------------------------------------------------------------------
+
+TEST(LoggingTest, LogLineCarriesBasenameAndNoPathOrLineNumber) {
+  const LogLevel saved = GetLogLevel();
+  SetLogLevel(LogLevel::kInfo);
+  testing::internal::CaptureStderr();
+  HC_LOG_INFO("node %d up", 7);
+  const std::string line = testing::internal::GetCapturedStderr();
+  SetLogLevel(saved);
+  EXPECT_EQ(line, "[I common_test.cc] node 7 up\n");
+  EXPECT_EQ(line.find('/'), std::string::npos);
+}
+
+TEST(LoggingTest, SourceBasenameDropsEveryDirectory) {
+  static_assert(SourceBasename("/a/b/c.cc")[0] == 'c');
+  EXPECT_STREQ(SourceBasename("/abs/path/src/core/server.cc"), "server.cc");
+  EXPECT_STREQ(SourceBasename("src/x.h"), "x.h");
+  EXPECT_STREQ(SourceBasename("plain.cc"), "plain.cc");
+}
+
+TEST(LoggingDeathTest, CheckFailureNamesBasenameAndLine) {
+  EXPECT_DEATH(HC_CHECK(1 + 1 == 3), "^CHECK failed: 1 \\+ 1 == 3 at common_test\\.cc:[0-9]+\n");
+}
 
 // ---------------------------------------------------------------------------
 // Status / Result

@@ -400,9 +400,131 @@ TEST(DurabilityTest, KvFollowerWithDamagedSnapshotIsRepairedByInstallSnapshot) {
   EXPECT_EQ(victim.raft()->applied_index(), 0u);  // genesis fallback
   ExpectConverged(cluster, run.victim);
   // Repaired by the leader's state transfer, which the node persisted
-  // through the single-pass RestoreSnapshot path.
+  // through RestoreSnapshot.
   EXPECT_GE(victim.server_stats().snapshots_restored, 1u);
   EXPECT_EQ(victim.raft()->stats().suspect_repaired, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Frozen snapshots (docs/durability.md, "Snapshot write path"): the snapshot
+// file holds the app's frozen image until something reads it, so a power
+// fail after post-snapshot writes must still recover the image as it was at
+// the snapshot, on the full YCSB-E preload (~21 MiB per replica).
+// ---------------------------------------------------------------------------
+
+ClusterConfig YcsbKvConfig(uint64_t seed) {
+  ClusterConfig config = Config(ClusterMode::kHovercRaftPP, 3, seed);
+  config.raft.log_retention_entries = 256;
+  config.app_factory = []() {
+    auto svc = std::make_unique<KvService>();
+    Rng rng(0xFEED5EED);  // identical preload on every replica
+    for (const KvCommand& cmd : YcsbEGenerator(YcsbEConfig{}).PreloadCommands(rng)) {
+      svc->Apply(cmd);
+    }
+    return svc;
+  };
+  return config;
+}
+
+// Runs until a leader exists and `victim` has committed and applied what
+// it has (at most 2 s: with the full preload a restarted replica can take
+// a few elections to catch up), then checks the replicas agree.
+void ExpectCaughtUp(Cluster& cluster, NodeId victim) {
+  const TimeNs deadline = cluster.sim().Now() + Seconds(2);
+  auto caught_up = [&]() {
+    const NodeId leader = cluster.LeaderId();
+    if (leader == kInvalidNode) {
+      return false;
+    }
+    const RaftNode& v = *cluster.server(victim).raft();
+    const RaftNode& l = *cluster.server(leader).raft();
+    return v.commit_index() == l.commit_index() && v.applied_index() == l.applied_index() &&
+           v.commit_index() == v.applied_index();
+  };
+  do {
+    cluster.sim().RunUntil(cluster.sim().Now() + Millis(20));
+  } while (!caught_up() && cluster.sim().Now() < deadline);
+  ASSERT_TRUE(caught_up());
+  EXPECT_FALSE(cluster.server(victim).raft()->suspect());
+  EXPECT_EQ(cluster.server(victim).app().Digest(),
+            cluster.server(cluster.LeaderId()).app().Digest());
+}
+
+std::unique_ptr<ClientHost> AttachYcsbClient(Cluster& cluster, double rate, uint64_t seed) {
+  auto client = std::make_unique<ClientHost>(
+      &cluster.sim(), cluster.config().costs, [&cluster]() { return cluster.ClientTarget(); },
+      std::make_unique<YcsbEWorkload>(YcsbEConfig{}), rate, seed);
+  cluster.network().Attach(client.get());
+  return client;
+}
+
+TEST(DurabilityTest, KvReplicaPowerFailedAfterPostSnapshotWritesRecoversTheFrozenImage) {
+  Cluster cluster(YcsbKvConfig(151));
+  ASSERT_NE(cluster.WaitForLeader(), kInvalidNode);
+  std::unique_ptr<ClientHost> client = AttachYcsbClient(cluster, 20'000, 152);
+  const TimeNs t0 = cluster.sim().Now();
+  client->StartLoad(t0, t0 + Millis(150));
+  cluster.sim().RunUntil(t0 + Millis(45));
+  const NodeId victim = (cluster.LeaderId() + 1) % 3;
+  ReplicatedServer& server = cluster.server(victim);
+  // Step to just after the victim's next compaction-time snapshot...
+  const uint64_t saved = server.storage()->stats().snapshots_saved;
+  while (server.storage()->stats().snapshots_saved == saved) {
+    cluster.sim().RunUntil(cluster.sim().Now() + Micros(100));
+  }
+  const uint64_t applies_near_snapshot = server.app().ApplyCount();
+  // ...then let writes land on the frozen state before the power fails.
+  cluster.sim().RunUntil(cluster.sim().Now() + Millis(8));
+  ASSERT_EQ(server.storage()->stats().snapshots_saved, saved + 1);  // still that snapshot
+  const uint64_t applies_at_crash = server.app().ApplyCount();
+  ASSERT_GT(applies_at_crash, applies_near_snapshot);
+  EXPECT_EQ(server.disk()->records_encoded(), 0u);  // nothing has read the file yet
+  cluster.PowerFailNode(victim);
+  EXPECT_GT(server.disk()->records_encoded(), 0u);  // the crash produced its bytes
+  cluster.sim().RunUntil(cluster.sim().Now() + Millis(5));
+  cluster.RestartNode(victim);
+  // The app resumes from the snapshot's image, without the later writes.
+  EXPECT_LE(server.app().ApplyCount(), applies_near_snapshot);
+  EXPECT_LT(server.app().ApplyCount(), applies_at_crash);
+  EXPECT_EQ(server.storage()->stats().suspect_recoveries, 0u);
+  ExpectCaughtUp(cluster, victim);
+  EXPECT_EQ(server.server_stats().snapshots_restored, 0u);
+}
+
+TEST(DurabilityTest, KvInstallSnapshotReplacesAStoreWhoseFreezeIsPending) {
+  ClusterConfig config = YcsbKvConfig(157);
+  config.server_template.straggler_lag_entries = 512;
+  Cluster cluster(config);
+  ASSERT_NE(cluster.WaitForLeader(), kInvalidNode);
+  std::unique_ptr<ClientHost> client = AttachYcsbClient(cluster, 20'000, 158);
+  const TimeNs t0 = cluster.sim().Now();
+  client->StartLoad(t0, t0 + Millis(200));
+  cluster.sim().RunUntil(t0 + Millis(30));
+  const NodeId leader = cluster.LeaderId();
+  const NodeId victim = (leader + 1) % 3;
+  ReplicatedServer& server = cluster.server(victim);
+  // A fail-stop keeps process memory: the victim's last snapshot stays
+  // frozen while the leader compacts past its log.
+  server.set_failed(true);
+  cluster.sim().RunUntil(t0 + Millis(130));
+  EXPECT_GT(cluster.server(leader).raft()->log().first_index(), server.raft()->log().last_index());
+  EXPECT_EQ(server.disk()->records_encoded(), 0u);
+  const uint64_t restored = server.server_stats().snapshots_restored;
+  server.set_failed(false);
+  // The InstallSnapshot replaces the store under the pending freeze, then
+  // the persisted copy of the received image supersedes it unencoded.
+  while (server.server_stats().snapshots_restored == restored &&
+         cluster.sim().Now() < t0 + Millis(400)) {
+    cluster.sim().RunUntil(cluster.sim().Now() + Micros(100));
+  }
+  ASSERT_GT(server.server_stats().snapshots_restored, restored);
+  EXPECT_EQ(server.disk()->records_encoded(), 0u);
+  // A power fail right after the repair recovers the received image.
+  cluster.PowerFailNode(victim);
+  cluster.sim().RunUntil(cluster.sim().Now() + Millis(5));
+  cluster.RestartNode(victim);
+  EXPECT_EQ(server.storage()->stats().suspect_recoveries, 0u);
+  ExpectCaughtUp(cluster, victim);
 }
 
 }  // namespace

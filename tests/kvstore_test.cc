@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/app/kvstore/command.h"
 #include "src/app/kvstore/service.h"
 #include "src/app/kvstore/store.h"
+#include "src/common/frozen_image.h"
 #include "src/r2p2/shard.h"
 
 namespace hovercraft {
@@ -456,6 +459,277 @@ TEST(KvStoreExtTest, SerializedSizeTracksEveryMutation) {
     }
     ASSERT_EQ(store.SerializedSize(), SerializedLength(store)) << "step " << step;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Freeze: a frozen image is the capture-time image byte for byte, whatever
+// runs after the capture (KvStore::Freeze, KvService::Freeze).
+// ---------------------------------------------------------------------------
+
+// One random mutator call on a key pool split by value type ("s", "h", "l"
+// and "t" keys): each mutator mostly meets keys of the type it changes, one
+// call in five meets another type, and Del meets all of them.
+void TypedMutation(KvStore& store, std::mt19937_64& rng) {
+  static constexpr char kTypes[] = {'s', 'h', 'l', 't'};
+  const uint64_t op = rng() % 11;
+  char type = op <= 4 ? 's' : op <= 6 ? 'h' : op <= 8 ? 'l' : 't';
+  if (op == 1 || rng() % 5 == 0) {
+    type = kTypes[rng() % 4];
+  }
+  const std::string key = std::string(1, type) + std::to_string(rng() % 6);
+  const std::string field = "f" + std::to_string(rng() % 4);
+  const auto letter = static_cast<char>('a' + rng() % 26);
+  const std::string value =
+      rng() % 4 == 0 ? std::to_string(rng() % 1000) : std::string(rng() % 50, letter);
+  switch (op) {
+    case 0: store.Set(key, value); break;
+    case 1: store.Del(key); break;
+    case 2: (void)store.Incr(key); break;
+    case 3: (void)store.Append(key, value); break;
+    case 4: (void)store.Setnx(key, value); break;
+    case 5: (void)store.Hset(key, field, value); break;
+    case 6: (void)store.Hdel(key, field); break;
+    case 7: (void)store.Rpush(key, value); break;
+    case 8: (void)store.Lpop(key); break;
+    case 9: (void)store.Sadd(key, value.substr(0, 2)); break;
+    default: (void)store.Srem(key, value.substr(0, 2)); break;
+  }
+}
+
+template <typename Image>
+std::vector<uint8_t> Materialize(const Image& image) {
+  BufferWriter w;
+  image.WriteTo(&w);
+  EXPECT_EQ(w.size(), image.size());
+  return w.TakeBytes();
+}
+
+// The app's SnapshotBody, as bytes.
+std::vector<uint8_t> ImageOf(const StateMachine& app) {
+  const Body image = SnapshotBody(app);
+  return std::vector<uint8_t>(image.begin(), image.end());
+}
+
+std::vector<uint8_t> Serialized(const KvStore& store) {
+  BufferWriter w;
+  store.SerializeTo(w);
+  return w.TakeBytes();
+}
+
+TEST(KvFreezeTest, FrozenImageEqualsCaptureUnderRandomMutations) {
+  // A seeded mix of every mutator, writes through Execute (which move the
+  // apply count and the mutation digest), MergeFrom, EraseIf and DropRange
+  // over a small key pool, so frozen keys are rewritten, appended to,
+  // erased, re-inserted and reordered. A fresh freeze is taken every 3000
+  // steps, and its image is compared with the SnapshotBody taken at the
+  // capture every 100 steps. DeserializeFrom hands every frozen element to
+  // the freeze, after which no hook matters any more, so it runs only in
+  // every other window.
+  std::mt19937_64 rng(1601);
+  KvService svc;
+  KvStore& store = svc.store();
+  KvStore other;
+  for (int i = 0; i < 400; ++i) {
+    TypedMutation(store, rng);
+    TypedMutation(other, rng);
+  }
+  constexpr int kSteps = 24000;
+  constexpr int kWindow = 3000;
+  std::unique_ptr<FrozenImage> frozen;
+  std::vector<uint8_t> want;
+  int replaced = 0;
+  for (int step = 0; step < kSteps; ++step) {
+    if (step % kWindow == 0) {
+      frozen.reset();  // ends the last freeze; the store allows the next
+      frozen = svc.Freeze();
+      want = ImageOf(svc);
+      ASSERT_EQ(frozen->size(), want.size());
+    }
+    const bool may_replace = (step / kWindow) % 2 == 1;
+    const uint64_t pick = rng() % 1000;
+    if (pick < 750) {
+      TypedMutation(store, rng);
+    } else if (pick < 850) {
+      KvCommand cmd;
+      cmd.op = rng() % 2 == 0 ? KvOpcode::kSet : KvOpcode::kRpush;
+      cmd.key = (cmd.op == KvOpcode::kSet ? "s" : "l") + std::to_string(rng() % 6);
+      cmd.value = std::string(rng() % 30, 'x');
+      svc.Execute(RpcRequest(RequestId{3, static_cast<uint64_t>(step)},
+                             R2p2Policy::kReplicatedReq, EncodeKvCommand(cmd)));
+    } else if (pick < 940) {
+      TypedMutation(other, rng);
+    } else if (pick < 942) {
+      if (may_replace) {
+        BufferWriter w;
+        other.SerializeTo(w);
+        BufferReader r(w.bytes());
+        ASSERT_TRUE(store.DeserializeFrom(r).ok());
+        ++replaced;
+      }
+    } else if (pick < 970) {
+      const uint64_t parity = rng() % 2;
+      BufferWriter w;
+      other.SerializePartTo(w, [parity](std::string_view key) { return key.size() % 2 == parity; });
+      BufferReader r(w.bytes());
+      ASSERT_TRUE(store.MergeFrom(r).ok());
+    } else if (pick < 985) {
+      const char last = static_cast<char>('0' + rng() % 6);
+      store.EraseIf([last](std::string_view key) { return key.back() == last; });
+    } else {
+      const uint32_t lo = static_cast<uint32_t>(rng() % kShardSlots);
+      const uint32_t hi = lo + static_cast<uint32_t>(rng() % (kShardSlots - lo));
+      ASSERT_TRUE(svc.DropRange(lo, hi).ok());
+    }
+    if (step % 100 == 99) {
+      ASSERT_EQ(Materialize(*frozen), want) << "step " << step;
+    }
+  }
+  EXPECT_GT(replaced, 10);
+  // A fresh freeze of the mutated store images its current state.
+  frozen.reset();
+  EXPECT_EQ(Materialize(*svc.Freeze()), ImageOf(svc));
+}
+
+TEST(KvFreezeTest, ErasedKeyWhoseNodeIsReusedKeepsItsFrozenValue) {
+  // Erasing a frozen key frees its node; the allocator typically hands the
+  // same memory straight back to the next insert, here of a new key and of
+  // the erased key again. Neither may pass for the frozen element.
+  KvStore store;
+  for (int i = 0; i < 8; ++i) {
+    store.Set("k" + std::to_string(i), "v" + std::to_string(i));
+  }
+  ASSERT_TRUE(store.Rpush("list", "a").ok());
+  const std::vector<uint8_t> want = Serialized(store);
+  std::unique_ptr<KvStore::Frozen> frozen = store.Freeze();
+  EXPECT_TRUE(store.Del("k3"));
+  store.Set("new", "x");
+  store.Set("new", "y");
+  ASSERT_TRUE(store.Append("new", "z").ok());
+  EXPECT_TRUE(store.Del("new"));
+  store.Set("k3", "again");
+  ASSERT_TRUE(store.Append("k3", "!").ok());
+  EXPECT_TRUE(store.Del("list"));
+  ASSERT_TRUE(store.Rpush("list", "b").ok());
+  ASSERT_TRUE(store.Rpush("list2", "c").ok());
+  EXPECT_EQ(Materialize(*frozen), want);
+  EXPECT_EQ(store.Get("k3").value(), "again!");
+}
+
+TEST(KvFreezeTest, EveryMutatorSavesItsKeyOnFirstTouch) {
+  // One key per mutator, each holding the type that mutator changes; after
+  // the freeze each is mutated twice, so the second touch must not
+  // overwrite the saved prior value.
+  KvStore store;
+  store.Set("set", "s");
+  store.Set("del", "d");
+  store.Set("incr", "41");
+  store.Set("append", "a");
+  store.Set("setnx", "n");
+  ASSERT_TRUE(store.Hset("hset", "f", "1").ok());
+  ASSERT_TRUE(store.Hset("hdel", "f", "1").ok());
+  ASSERT_TRUE(store.Hset("hdel", "g", "2").ok());
+  ASSERT_TRUE(store.Rpush("rpush", "1").ok());
+  ASSERT_TRUE(store.Rpush("lpop", "1").ok());
+  ASSERT_TRUE(store.Rpush("lpop", "2").ok());
+  ASSERT_TRUE(store.Rpush("lpop", "3").ok());
+  ASSERT_TRUE(store.Sadd("sadd", "m").ok());
+  ASSERT_TRUE(store.Sadd("srem", "m").ok());
+  ASSERT_TRUE(store.Sadd("srem", "n").ok());
+  const std::vector<uint8_t> want = Serialized(store);
+  std::unique_ptr<KvStore::Frozen> frozen = store.Freeze();
+  for (int round = 0; round < 2; ++round) {
+    const std::string v = "r" + std::to_string(round);
+    store.Set("set", v);
+    store.Del("del");
+    ASSERT_TRUE(store.Incr("incr").ok());
+    ASSERT_TRUE(store.Append("append", v).ok());
+    EXPECT_FALSE(store.Setnx("setnx", v).value());
+    ASSERT_TRUE(store.Hset("hset", "f", v).ok());
+    ASSERT_TRUE(store.Hdel("hdel", round == 0 ? "f" : "g").ok());
+    ASSERT_TRUE(store.Rpush("rpush", v).ok());
+    ASSERT_TRUE(store.Lpop("lpop").ok());
+    ASSERT_TRUE(store.Sadd("sadd", v).ok());
+    ASSERT_TRUE(store.Srem("srem", round == 0 ? "m" : "n").ok());
+    ASSERT_EQ(Materialize(*frozen), want) << "round " << round;
+  }
+}
+
+TEST(KvFreezeTest, HandleAndStoreMayEachBeDestroyedFirst) {
+  {
+    KvStore store;
+    store.Set("a", "1");
+    std::unique_ptr<KvStore::Frozen> frozen = store.Freeze();
+    frozen.reset();
+    store.Set("a", "2");  // no live freeze: nothing is saved
+    std::unique_ptr<KvStore::Frozen> next = store.Freeze();  // allowed again
+    EXPECT_EQ(Materialize(*next), Serialized(store));
+  }
+  std::unique_ptr<KvStore::Frozen> orphan;
+  {
+    KvStore store;
+    store.Set("a", "1");
+    orphan = store.Freeze();
+  }
+  orphan.reset();  // destroying the handle after the store touches nothing
+}
+
+TEST(KvFreezeTest, CopiesAndAssignmentsLeaveTheFreezeIntact) {
+  KvService svc;
+  svc.store().Set("a", "1");
+  ASSERT_TRUE(svc.store().Rpush("l", "x").ok());
+  const std::vector<uint8_t> want = ImageOf(svc);
+  std::unique_ptr<FrozenImage> frozen = svc.Freeze();
+  KvService copy = svc;  // the copy has no freeze of its own
+  copy.store().Set("a", "copy");
+  std::unique_ptr<FrozenImage> copy_frozen = copy.Freeze();
+  KvStore replacement;
+  replacement.Set("b", "2");
+  svc.store() = replacement;  // the old contents go to the live freeze
+  svc.store().Set("a", "3");
+  EXPECT_EQ(Materialize(*frozen), want);
+  EXPECT_EQ(Materialize(*copy_frozen), ImageOf(copy));
+}
+
+TEST(KvFreezeDeathTest, SecondLiveFreezeFails) {
+  EXPECT_DEATH(
+      {
+        KvStore store;
+        std::unique_ptr<KvStore::Frozen> first = store.Freeze();
+        std::unique_ptr<KvStore::Frozen> second = store.Freeze();
+      },
+      "CHECK failed");
+  EXPECT_DEATH(
+      {
+        KvService svc;
+        std::unique_ptr<FrozenImage> first = svc.Freeze();
+        std::unique_ptr<FrozenImage> second = svc.Freeze();
+      },
+      "CHECK failed");
+}
+
+TEST(KvFreezeDeathTest, WritingAFreezeAfterItsStoreIsGoneFails) {
+  EXPECT_DEATH(
+      {
+        std::unique_ptr<FrozenImage> frozen;
+        {
+          KvService svc;
+          svc.store().Set("a", "1");
+          frozen = svc.Freeze();
+        }
+        (void)Materialize(*frozen);
+      },
+      "CHECK failed");
+}
+
+TEST(KvFreezeDeathTest, MovingFromAStoreWithALiveFreezeFails) {
+  EXPECT_DEATH(
+      {
+        KvStore store;
+        store.Set("a", "1");
+        std::unique_ptr<KvStore::Frozen> frozen = store.Freeze();
+        KvStore moved = std::move(store);
+      },
+      "CHECK failed");
 }
 
 TEST(KvCommandExtTest, NewOpcodesRoundTrip) {

@@ -85,9 +85,10 @@ TEST(SnapshotTest, KvServiceRejectsGarbage) {
 }
 
 // ---------------------------------------------------------------------------
-// SnapshotTo: the single-pass image every server snapshot is written from.
-// It must be byte-equal to SnapshotState() and exactly as long as the size
-// the app announces (WriteSnapshot checks that).
+// SnapshotTo: the single-pass image that CaptureSnapshot and SnapshotBody
+// write from (local snapshots are taken by Freeze, whose image must equal
+// it). It must be byte-equal to SnapshotState() and exactly as long as the
+// size the app announces (WriteSnapshot checks that).
 // ---------------------------------------------------------------------------
 
 // Writes `app`'s image behind a 5-byte prefix, the way the server writes it

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/common/buffer.h"
+#include "src/common/frozen_image.h"
 #include "src/common/types.h"
 #include "src/raft/log.h"
 #include "src/raft/membership.h"
@@ -22,6 +23,7 @@
 #include "src/storage/fsync_policy.h"
 #include "src/storage/sim_disk.h"
 #include "src/storage/stable_storage.h"
+#include "tests/disk_test_util.h"
 
 namespace hovercraft {
 namespace {
@@ -29,7 +31,7 @@ namespace {
 std::vector<uint8_t> Bytes(std::initializer_list<uint8_t> b) { return std::vector<uint8_t>(b); }
 
 void Append(SimDisk* disk, const std::string& file, const std::vector<uint8_t>& b) {
-  disk->Append(file, b.data(), b.size());
+  AppendBytes(disk, file, b);
 }
 
 // ---------------------------------------------------------------------------
@@ -376,15 +378,14 @@ LogEntry GoldenConfigNoop(Term term) {
 
 // Hard state, a request entry, a config no-op, announce, truncate,
 // re-append and compact, in 128-byte segments so the WAL rotates. Entries go
-// through the single-pass encoder (the node's path) or, with `via_vector`,
-// through the vector-returning codec and the span overload.
+// through WalEntrySize and the deferred WalEntryEncoder (the node's path) or,
+// with `via_vector`, through the vector-returning codec and the span overload.
 void WriteGoldenSequence(StableStorage* storage, bool via_vector) {
   auto append = [storage, via_vector](LogIndex idx, const LogEntry& e) {
     if (via_vector) {
       storage->AppendEntry(idx, e.term, e.replier, EncodeWalEntry(e));
     } else {
-      storage->AppendEntry(idx, e.term, e.replier,
-                           [&e](BufferWriter* w) { EncodeWalEntry(e, w); });
+      storage->AppendEntry(idx, e.term, e.replier, WalEntrySize(e), WalEntryEncoder(e));
     }
   };
   storage->PersistHardState(2, 1);
@@ -519,7 +520,7 @@ void ExpectCorruptsNewestRecord(StableStorage* storage, SimDisk* disk, LogIndex 
 
 TEST(StableStorageTest, GoldenWalBytes) {
   for (bool via_vector : {false, true}) {
-    SCOPED_TRACE(via_vector ? "vector codec" : "single pass");
+    SCOPED_TRACE(via_vector ? "vector codec" : "deferred encoder");
     Simulator sim;
     SimDisk disk(&sim, 1, 0);
     StableStorage storage(&disk, FsyncPolicy::kGroupCommit, /*segment_bytes=*/128);
@@ -626,6 +627,58 @@ TEST(SnapshotChecksumTest, TopBitFlipsInOneLaneDoNotCancel) {
   EXPECT_NE(SnapshotChecksum(damaged), SnapshotChecksum(data));
 }
 
+// Uneven piece lengths: below, at and above the 32-byte block, and larger
+// than a 64 KiB fold step.
+constexpr size_t kPieces[] = {1, 3, 7, 32, 31, 33, 64, 5, 1000, 70000, 0, 8};
+
+// A frozen image of fixed bytes that writes them in the uneven kPieces
+// lengths, and reports how often it was written and when it is destroyed.
+class PiecesImage final : public FrozenImage {
+ public:
+  explicit PiecesImage(std::span<const uint8_t> bytes, int* writes = nullptr,
+                       bool* alive = nullptr)
+      : bytes_(bytes.begin(), bytes.end()), writes_(writes), alive_(alive) {
+    if (alive_ != nullptr) {
+      *alive_ = true;
+    }
+  }
+  ~PiecesImage() override {
+    if (alive_ != nullptr) {
+      *alive_ = false;
+    }
+  }
+  size_t size() const override { return bytes_.size(); }
+  void WriteTo(BufferWriter* w) const override {
+    const std::span<const uint8_t> bytes(bytes_);
+    size_t off = 0;
+    for (size_t i = 0; off < bytes.size(); ++i) {
+      const size_t n = std::min(kPieces[i % std::size(kPieces)], bytes.size() - off);
+      if (n == 1) {
+        w->PutU8(bytes[off]);
+      } else {
+        w->PutBytes(bytes.subspan(off, n));
+      }
+      off += n;
+    }
+    if (writes_ != nullptr) {
+      ++*writes_;
+    }
+  }
+
+ private:
+  std::vector<uint8_t> bytes_;
+  int* writes_;
+  bool* alive_;
+};
+
+// Saves a snapshot whose payload is `prefix` then a PiecesImage of `image`.
+void SaveFrozen(StableStorage* storage, LogIndex idx, Term term, std::span<const uint8_t> prefix,
+                std::span<const uint8_t> image, int* writes = nullptr, bool* alive = nullptr) {
+  storage->SaveSnapshot(idx, term, std::vector<uint8_t>(prefix.begin(), prefix.end()), [&]() {
+    return std::unique_ptr<FrozenImage>(std::make_unique<PiecesImage>(image, writes, alive));
+  });
+}
+
 TEST(StableStorageTest, AnyFlippedByteOrTruncationDropsTheSnapshot) {
   Simulator sim;
   SimDisk disk(&sim, 1, 0);
@@ -638,19 +691,20 @@ TEST(StableStorageTest, AnyFlippedByteOrTruncationDropsTheSnapshot) {
   const std::vector<uint8_t> pristine = disk.Read("snapshot");
   ASSERT_EQ(pristine.size(), 28u + payload.size());
   for (size_t off = 0; off < pristine.size(); ++off) {
-    disk.WriteAndSync("snapshot", pristine);
+    storage.SaveSnapshot(12, 2, payload);
     ASSERT_TRUE(disk.FlipByte("snapshot", off));
     const StableStorage::Recovery rec = storage.Recover(true);
     ASSERT_FALSE(rec.has_snapshot) << "offset " << off;
     ASSERT_TRUE(rec.suspect) << "offset " << off;
   }
-  disk.WriteAndSync("snapshot", pristine);
+  storage.SaveSnapshot(12, 2, payload);
   disk.Truncate("snapshot", pristine.size() - 1);
   StableStorage::Recovery truncated = storage.Recover(true);
   EXPECT_FALSE(truncated.has_snapshot);
   EXPECT_TRUE(truncated.suspect);
 
-  disk.WriteAndSync("snapshot", pristine);
+  storage.SaveSnapshot(12, 2, payload);
+  EXPECT_EQ(disk.Read("snapshot"), pristine);
   StableStorage::Recovery intact = storage.Recover(true);
   ASSERT_TRUE(intact.has_snapshot);
   EXPECT_FALSE(intact.suspect);
@@ -659,23 +713,22 @@ TEST(StableStorageTest, AnyFlippedByteOrTruncationDropsTheSnapshot) {
 
 TEST(StableStorageTest, GoldenSnapshotBytes) {
   // [u64 checksum][u64 idx][u64 term][u32 len][payload]. Everything after
-  // the checksum is the original layout; the vector wrapper and the
-  // single-pass path write the same file.
+  // the checksum is the original layout; a payload given as bytes and one
+  // given as a prefix plus a frozen image written in pieces make the same
+  // file.
   const std::string kGoldenSnapshot =
       "f9b7579eecd0621f"                                  // checksum
       "0700000000000000" "0300000000000000" "15000000"    // idx, term, len
       "0b30557a9fc4e90e33587da2c7ec11365b80a5caef";       // payload
   const std::vector<uint8_t> payload = Pattern(21);
-  for (bool single_pass : {false, true}) {
-    SCOPED_TRACE(single_pass ? "single pass" : "vector wrapper");
+  for (bool frozen : {false, true}) {
+    SCOPED_TRACE(frozen ? "frozen image" : "bytes");
     Simulator sim;
     SimDisk disk(&sim, 1, 0);
     StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
-    if (single_pass) {
-      BufferWriter* w = storage.BeginSnapshot(7, 3, payload.size());
-      w->PutU8(payload[0]);
-      w->PutBytes(std::span<const uint8_t>(payload).subspan(1));
-      storage.FinishSnapshot();
+    if (frozen) {
+      const std::span<const uint8_t> bytes(payload);
+      SaveFrozen(&storage, 7, 3, bytes.first(3), bytes.subspan(3));
     } else {
       storage.SaveSnapshot(7, 3, payload);
     }
@@ -690,12 +743,8 @@ TEST(StableStorageTest, GoldenSnapshotBytes) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot write path: streamed checksum, in-place rewrite and its fence.
+// Snapshot write path: streamed checksum and the deferred snapshot record.
 // ---------------------------------------------------------------------------
-
-// Uneven piece lengths: below, at and above the 32-byte block, and larger
-// than a 64 KiB fold step.
-constexpr size_t kPieces[] = {1, 3, 7, 32, 31, 33, 64, 5, 1000, 70000, 0, 8};
 
 uint64_t StreamedChecksum(std::span<const uint8_t> data) {
   SnapshotChecksumStream stream;
@@ -740,28 +789,15 @@ uint64_t LoadLe64(const std::vector<uint8_t>& b) {
   return v;
 }
 
-// Writes `payload` through BeginSnapshot in uneven pieces.
+// Saves `payload` as a frozen image that writes itself in uneven pieces.
 void SnapshotInPieces(StableStorage* storage, LogIndex idx, std::span<const uint8_t> payload) {
-  BufferWriter* w = storage->BeginSnapshot(idx, 1, payload.size());
-  size_t off = 0;
-  for (size_t i = 0; off < payload.size(); ++i) {
-    const size_t n = std::min(kPieces[i % std::size(kPieces)], payload.size() - off);
-    if (n == 1) {
-      w->PutU8(payload[off]);
-    } else {
-      w->PutBytes(payload.subspan(off, n));
-    }
-    off += n;
-  }
-  storage->FinishSnapshot();
+  SaveFrozen(storage, idx, 1, {}, payload);
 }
 
 TEST(StableStorageTest, SnapshotChecksumFoldedDuringWriteMatchesOneShot) {
   // The file checksum is folded in 64 KiB steps as the payload lands. With a
   // 28-byte header and the checksum starting at byte 8, payloads 20 bytes
   // short of a multiple of 64 KiB put the end of the file on a fold step.
-  // All of them go through one StableStorage, so the file's buffer is
-  // rewritten in place as the images grow and shrink.
   Simulator sim;
   SimDisk disk(&sim, 1, 0);
   StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
@@ -783,6 +819,8 @@ TEST(StableStorageTest, SnapshotChecksumFoldedDuringWriteMatchesOneShot) {
 }
 
 TEST(StableStorageTest, ConsecutiveSnapshotsShrinkThenGrowInPlace) {
+  // Each snapshot replaces the last whole, whatever their sizes: the file is
+  // exactly the new one, fully durable.
   Simulator sim;
   SimDisk disk(&sim, 1, 0);
   StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
@@ -793,10 +831,6 @@ TEST(StableStorageTest, ConsecutiveSnapshotsShrinkThenGrowInPlace) {
     SnapshotInPieces(&storage, ++idx, payload);
     EXPECT_EQ(disk.Size("snapshot"), 28 + len);
     EXPECT_EQ(disk.SyncedSize("snapshot"), 28 + len);
-    if (len == 10) {
-      // The 10-byte image was written into the 1 MiB image's buffer.
-      EXPECT_GE(disk.Read("snapshot").capacity(), size_t{1} << 20);
-    }
     StableStorage::Recovery rec = storage.Recover(true);
     ASSERT_TRUE(rec.has_snapshot);
     EXPECT_FALSE(rec.suspect);
@@ -806,68 +840,113 @@ TEST(StableStorageTest, ConsecutiveSnapshotsShrinkThenGrowInPlace) {
   EXPECT_EQ(storage.stats().snapshots_saved, 3u);
 }
 
+TEST(StableStorageTest, ReplacedSnapshotIsNeverEncodedAndReleasedBeforeTheNextFreeze) {
+  Simulator sim;
+  SimDisk disk(&sim, 1, 0);
+  StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
+  const std::vector<uint8_t> first = Pattern(5000);
+  const std::vector<uint8_t> second = Pattern(70);
+  int first_writes = 0;
+  int second_writes = 0;
+  bool first_alive = false;
+  bool second_alive = false;
+  SaveFrozen(&storage, 1, 1, Bytes({1, 2}), first, &first_writes, &first_alive);
+  EXPECT_TRUE(first_alive);
+  EXPECT_EQ(disk.Size("snapshot"), 28u + 2 + first.size());
+  EXPECT_EQ(disk.SyncedSize("snapshot"), disk.Size("snapshot"));  // durable at once
+  bool first_alive_at_freeze = true;
+  storage.SaveSnapshot(2, 1, Bytes({3}), [&]() {
+    first_alive_at_freeze = first_alive;
+    return std::unique_ptr<FrozenImage>(
+        std::make_unique<PiecesImage>(second, &second_writes, &second_alive));
+  });
+  EXPECT_FALSE(first_alive_at_freeze);  // dropped before the next freeze ran
+  EXPECT_EQ(first_writes, 0);           // and never encoded
+  EXPECT_EQ(second_writes, 0);
+  EXPECT_EQ(disk.Size("snapshot"), 28u + 1 + second.size());
+  // Counted like any write, at write time.
+  EXPECT_EQ(disk.stats().appends, 2u);
+  EXPECT_EQ(disk.stats().bytes_written, 28u + 2 + first.size() + 28 + 1 + second.size());
+
+  StableStorage::Recovery rec = storage.Recover(true);
+  EXPECT_EQ(second_writes, 1);
+  EXPECT_FALSE(second_alive);  // materialized: the image is released
+  ASSERT_TRUE(rec.has_snapshot);
+  EXPECT_EQ(rec.snapshot_index, 2u);
+  std::vector<uint8_t> want = {3};
+  want.insert(want.end(), second.begin(), second.end());
+  EXPECT_EQ(rec.snapshot_payload, want);
+  // A second read sees the same bytes and does not encode again.
+  (void)disk.Read("snapshot");
+  EXPECT_EQ(second_writes, 1);
+}
+
+// Read, FlipByte, Truncate and Crash each produce a frozen snapshot's bytes
+// first: the result is the file the same payload makes when given as bytes.
+TEST(StableStorageTest, EveryObservationMaterializesTheSameSnapshot) {
+  const std::vector<uint8_t> payload = Pattern(3 * 65536 + 5);
+  const std::span<const uint8_t> bytes(payload);
+  std::vector<uint8_t> eager;
+  {
+    Simulator sim;
+    SimDisk disk(&sim, 1, 0);
+    StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
+    storage.SaveSnapshot(9, 4, payload);
+    eager = disk.Read("snapshot");
+  }
+  enum class Trigger { kRead, kFlip, kTruncate, kCrash, kTornCrash };
+  for (Trigger t : {Trigger::kRead, Trigger::kFlip, Trigger::kTruncate, Trigger::kCrash,
+                    Trigger::kTornCrash}) {
+    SCOPED_TRACE(static_cast<int>(t));
+    Simulator sim;
+    SimDisk disk(&sim, 1, 500);
+    StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
+    int writes = 0;
+    SaveFrozen(&storage, 9, 4, bytes.first(100), bytes.subspan(100), &writes);
+    std::vector<uint8_t> want = eager;
+    switch (t) {
+      case Trigger::kRead:
+        (void)disk.Read("snapshot");
+        break;
+      case Trigger::kFlip:
+        ASSERT_TRUE(disk.FlipByte("snapshot", 77777));
+        want[77777] ^= 0x40;
+        break;
+      case Trigger::kTruncate:
+        disk.Truncate("snapshot", 4000);
+        want.resize(4000);
+        break;
+      case Trigger::kCrash:
+      case Trigger::kTornCrash:
+        // Synced at once: a crash, torn or not, keeps the whole file.
+        if (t == Trigger::kTornCrash) {
+          disk.set_next_crash_torn();
+        }
+        disk.Crash();
+        EXPECT_EQ(disk.stats().bytes_lost, 0u);
+        break;
+    }
+    EXPECT_EQ(writes, 1);
+    EXPECT_TRUE(disk.Read("snapshot") == want);
+    EXPECT_EQ(writes, 1);
+  }
+}
+
 TEST(SimDiskTest, RewriteLeavesOtherFilesUsable) {
   Simulator sim;
   SimDisk disk(&sim, 1, 0);
-  disk.WriteAndSync("snapshot", Bytes({1, 2, 3}));
-  std::vector<uint8_t> buffer = disk.BeginRewrite("snapshot");
-  EXPECT_TRUE(buffer.empty());
+  ReplaceWithBytes(&disk, "snapshot", Bytes({1, 2, 3}));
   Append(&disk, "wal-00000001", Bytes({9, 9}));
-  EXPECT_EQ(disk.Size("wal-00000001"), 2u);
-  EXPECT_TRUE(disk.Sync(nullptr, true));
-  buffer.assign({4, 5});
-  disk.WriteAndSync("snapshot", std::move(buffer));
-  EXPECT_EQ(disk.Read("snapshot"), Bytes({4, 5}));
+  ReplaceWithBytes(&disk, "snapshot", Bytes({4, 5}));
+  Append(&disk, "wal-00000001", Bytes({8}));
+  EXPECT_EQ(disk.Size("wal-00000001"), 3u);
+  EXPECT_EQ(disk.SyncedSize("wal-00000001"), 0u);
   EXPECT_EQ(disk.SyncedSize("snapshot"), 2u);
-  EXPECT_EQ(disk.SyncedSize("wal-00000001"), 2u);
-}
-
-// Opens a rewrite of "snapshot" on `disk` after giving the file content.
-void OpenRewrite(SimDisk* disk) {
-  disk->WriteAndSync("snapshot", Bytes({1, 2, 3}));
-  (void)disk->BeginRewrite("snapshot");
-}
-
-TEST(SimDiskDeathTest, TouchingTheFileDuringARewriteFailsTheFence) {
-  Simulator sim;
-  EXPECT_DEATH({ SimDisk d(&sim, 1, 0); OpenRewrite(&d); (void)d.Read("snapshot"); },
-               "CHECK failed");
-  EXPECT_DEATH({ SimDisk d(&sim, 1, 0); OpenRewrite(&d); (void)d.Exists("snapshot"); },
-               "CHECK failed");
-  EXPECT_DEATH({ SimDisk d(&sim, 1, 0); OpenRewrite(&d); (void)d.SyncedSize("snapshot"); },
-               "CHECK failed");
-  EXPECT_DEATH({ SimDisk d(&sim, 1, 0); OpenRewrite(&d); d.Truncate("snapshot", 1); },
-               "CHECK failed");
-  EXPECT_DEATH({ SimDisk d(&sim, 1, 0); OpenRewrite(&d); (void)d.FlipByte("snapshot", 0); },
-               "CHECK failed");
-  EXPECT_DEATH({ SimDisk d(&sim, 1, 0); OpenRewrite(&d); d.Delete("snapshot"); },
-               "CHECK failed");
-  EXPECT_DEATH({ SimDisk d(&sim, 1, 0); OpenRewrite(&d); d.Crash(); }, "CHECK failed");
-  EXPECT_DEATH({ SimDisk d(&sim, 1, 0); OpenRewrite(&d); (void)d.BeginRewrite("other"); },
-               "CHECK failed");
-  // Append carries no check (it is the WAL's per-record call); an append to
-  // the fenced file is caught when the rewrite is handed back.
-  EXPECT_DEATH(
-      {
-        SimDisk d(&sim, 1, 0);
-        OpenRewrite(&d);
-        Append(&d, "snapshot", Bytes({7}));
-        d.WriteAndSync("snapshot", Bytes({4, 5}));
-      },
-      "CHECK failed");
-}
-
-TEST(SimDiskDeathTest, ReadingTheSnapshotWhileStableStorageWritesItFails) {
-  EXPECT_DEATH(
-      {
-        Simulator sim;
-        SimDisk disk(&sim, 1, 0);
-        StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
-        storage.SaveSnapshot(1, 1, Pattern(100));
-        storage.BeginSnapshot(2, 1, 100)->PutBytes(Pattern(50));
-        (void)disk.Read("snapshot");
-      },
-      "CHECK failed");
+  EXPECT_TRUE(disk.Sync(nullptr, true));
+  EXPECT_EQ(disk.Read("snapshot"), Bytes({4, 5}));
+  EXPECT_EQ(disk.Read("wal-00000001"), Bytes({9, 9, 8}));
+  EXPECT_EQ(disk.SyncedSize("snapshot"), 2u);
+  EXPECT_EQ(disk.SyncedSize("wal-00000001"), 3u);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "src/storage/fsync_policy.h"
 #include "src/storage/sim_disk.h"
 #include "src/storage/stable_storage.h"
+#include "tests/disk_test_util.h"
 
 namespace hovercraft {
 namespace {
@@ -77,7 +78,7 @@ TEST(WalFuzzTest, CrashAtEveryRecordBoundaryYieldsExactPrefix) {
     SimDisk disk(&sim, 1, 0);
     StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
     std::vector<uint8_t> cut(image.begin(), image.begin() + static_cast<ptrdiff_t>(cuts[ci]));
-    disk.WriteAndSync(ref.segment, cut);
+    ReplaceWithBytes(&disk, ref.segment, cut);
 
     StableStorage::Recovery rec = storage.Recover(/*protocol_aware=*/true);
     // Boundary ci keeps the hard-state record (boundary 1+) and ci-1 entries.
@@ -109,7 +110,7 @@ TEST(WalFuzzTest, CrashMidRecordTruncatesTornTail) {
     SimDisk disk(&sim, 1, 0);
     StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
     std::vector<uint8_t> cut(image.begin(), image.begin() + static_cast<ptrdiff_t>(cut_at));
-    disk.WriteAndSync(ref.segment, cut);
+    ReplaceWithBytes(&disk, ref.segment, cut);
 
     StableStorage::Recovery rec = storage.Recover(true);
     // The torn record is truncated; everything before the containing record
@@ -155,7 +156,7 @@ TEST(WalFuzzTest, BitFlipsNeverYieldWrongEntriesOnlyMissingOnes) {
     Simulator sim;
     SimDisk disk(&sim, 1, 0);
     StableStorage storage(&disk, FsyncPolicy::kGroupCommit);
-    disk.WriteAndSync(ref.segment, image);
+    ReplaceWithBytes(&disk, ref.segment, image);
     const size_t offset = rng.NextBelow(image.size());
     const bool tail_len_flip = offset >= last_record && offset < last_record + 4;
     ASSERT_TRUE(disk.FlipByte(ref.segment, offset));
